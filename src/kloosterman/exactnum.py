@@ -38,6 +38,21 @@ def mod_inverse(a: int, modulus: int) -> int:
         raise NotInvertible(f"{a} is not invertible mod {modulus}") from None
 
 
+def solve_linear_congruence(a: int, b: int, modulus: int) -> tuple[int, int] | None:
+    """Solutions of a*x = b mod modulus as (x0, step), 0 <= x0 < step.
+
+    The solutions are exactly x = x0 mod step, so range(x0, end, step) lists
+    those in [0, end); None when there is none.
+    """
+    if modulus <= 0:
+        raise NonPositive(f"modulus must be positive, got {modulus}")
+    g = math.gcd(a, modulus)
+    if b % g:
+        return None
+    step = modulus // g
+    return (b // g) * mod_inverse(a // g, step) % step, step
+
+
 def divisor_tau(c: int) -> int:
     """tau(c), the number of positive divisors."""
     if c <= 0:

@@ -27,7 +27,8 @@ from .errors import (
     NotInBigCell,
     NotUnimodular,
 )
-from .exactnum import PhaseSum, divisor_tau, gcd_many, mod_inverse, phase, phase_sum_eval
+from .exactnum import (PhaseSum, divisor_tau, gcd_many, mod_inverse, phase, phase_sum_eval,
+                       solve_linear_congruence)
 from .matrixcore import Matrix, diagonal, mat_prod, minor
 from .weyl import SimpleRoot, embed, long_word_matrix, sl4_long_word
 
@@ -335,97 +336,143 @@ def display_factors(cell: FineCellLabel, gammas: Sequence[GammaFactor]):
     return u_left, cell.torus(), u_right
 
 
-def _in_cell(cell: FineCellLabel, pl: Sequence[int], pr: Sequence[int]) -> bool:
-    """Unit filters equivalent to cell_of recovering this very cell."""
-    d1, _, _, d4, d5, _ = cell.as_tuple()
-    return (math.gcd(pr[0], d4) == 1
-            and gcd_many([d4 * d5, d5 * pr[0], pr[1]]) == 1
-            and math.gcd(pl[0], d1) == 1)
+def _check_budget(steps: int, budget: int | None) -> None:
+    if budget is not None and steps > budget:
+        raise BudgetExceeded(steps, budget)
 
 
-def _check_budget(cell: FineCellLabel, budget: int | None) -> None:
-    size = cell.enumeration_budget()
-    if budget is not None and size > budget:
-        raise BudgetExceeded(size, budget)
+def _scan(cell: FineCellLabel, budget: int | None):
+    """Solve the integrality congruences block by block: (steps, blocks).
+
+    Stage 1 takes the unit-filtered (s1, s2), solves A32 for r and A33 for
+    w1, then for each s3 solves A34 for w2 and groups r by (w1, w2). Stage 2
+    walks each block (s1, s2, s3, w1, w2): the (q1, q2 = d2 d3 j) allowed by
+    A22 are tested on A23 and solve A24 for w3, the (p1, p2, p3 = d1 d2 d3 k)
+    allowed by A12 are tested on A13 and solve A14 for w3. It yields
+    ((s1, s2, s3, w1, w2, w3), rs, q pairs, p triples) for each w3 both sides
+    reach, in ascending order throughout.
+
+    steps counts the (s1, s2) filtered, the r tried per (s1, s2), the (s3, r)
+    pairs swept per (s1, s2), the (r, w1, w2) grouped per s3 and, per block,
+    the d2 d3 d5 f (1 + phi(d1)) candidates stage 2 walks. Every sweep is
+    counted before it runs, and the s3 sweeps, the bulk of stage 1, only once
+    all of them are counted; so a refused scan stops near the budget and
+    reports the count so far, and an admitted one is counted in full before
+    its first block is solved.
+    """
+    d1, d2, d3, d4, d5, f = cell.as_tuple()
+    N = cell.level
+    L = d4 * d5 * f
+    units = [p1 for p1 in range(d1) if math.gcd(p1, d1) == 1]
+    walk = d2 * d3 * d5 * f * (1 + len(units))
+    steps = 0
+    blocks = []
+
+    def spend(n: int) -> None:
+        nonlocal steps
+        steps += n
+        _check_budget(steps, budget)
+
+    s1s = [s1 for s1 in range(d4) if math.gcd(s1, d4) == 1]
+    spend(d4 + len(s1s) * d4 * d5)
+    sweeps = []
+    for s1 in s1s:
+        # s1 is a unit mod d4, so A32 always solves, with step d4.
+        r0, _ = solve_linear_congruence(s1, d2 * d3, d4)
+        for s2 in range(d4 * d5):
+            if gcd_many([d4 * d5, d5 * s1, s2]) != 1:
+                continue
+            spend(d5 * f)
+            r_w1 = []
+            for r in range(r0, L, d4):
+                sol = solve_linear_congruence(d3, r * s2, d4 * d5)
+                if sol is not None:
+                    r_w1.append((r, range(sol[0], d2 * d5, sol[1])))
+            spend(L * len(r_w1))
+            sweeps.append((s1, s2, r_w1))
+    for s1, s2, r_w1 in sweeps:
+        for s3 in range(L):
+            groups: dict[tuple[int, int], list[int]] = {}
+            for r, w1s in r_w1:
+                w2s = range(r * s3 % L, d2 * d3 * d5 * f, L)
+                spend(len(w1s) * len(w2s))
+                for w1 in w1s:
+                    for w2 in w2s:
+                        groups.setdefault((w1, w2), []).append(r)
+            spend(len(groups) * walk)
+            blocks.extend((s1, s2, s3, w1, w2, rs) for (w1, w2), rs in sorted(groups.items()))
+
+    def solved():
+        walks: dict[int, tuple[list, list]] = {}
+        for s1, s2, s3, w1, w2, rs in blocks:
+            if s1 not in walks:
+                # A22 and A12 solved for j and k, so both lists ascend.
+                s1_inv = mod_inverse(s1, d4)
+                walks[s1] = (
+                    [(q1, d2 * d3 * j) for q1 in range(d2 * d3)
+                     for j in range(q1 * s1_inv % d4, L, d4)],
+                    [(p1, p2, d1 * d2 * d3 * k) for p1 in units
+                     for p2 in range(0, d1 * d2 * d3, d1)
+                     for k in range(p2 // d1 * s1_inv % d4, L, d4)],
+                )
+            q_pairs, p_triples = walks[s1]
+            q_at: dict[int, list[tuple[int, int]]] = {}
+            for q1, q2 in q_pairs:
+                if (d1 * d3 * d4 - d3 * q1 * w1 + q2 * s2) % (d2 * d3 * d4 * d5):
+                    continue
+                sol = solve_linear_congruence(d4, q1 * w2 - q2 * s3, d2 * d3 * L)
+                if sol is not None:
+                    for w3 in range(sol[0], d1 * d3 * f, sol[1]):
+                        q_at.setdefault(w3, []).append((q1, q2))
+            if not q_at:
+                continue
+            p_at: dict[int, list[tuple[int, int, int]]] = {}
+            for p1, p2, p3 in p_triples:
+                if (d1 * d3 * d4 * p1 - d3 * p2 * w1 + p3 * s2) % (d1 * d2 * d3 * d4 * d5):
+                    continue
+                sol = solve_linear_congruence(d4 * p1, p2 * w2 - p3 * s3 + d2 * d4 * d5, N)
+                if sol is not None:
+                    for w3 in range(sol[0], d1 * d3 * f, sol[1]):
+                        if w3 in q_at:
+                            p_at.setdefault(w3, []).append((p1, p2, p3))
+            for w3 in sorted(p_at):
+                yield (s1, s2, s3, w1, w2, w3), rs, q_at[w3], p_at[w3]
+
+    return steps, solved()
 
 
-_DISTRIBUTION_CACHE: dict[tuple[int, ...], dict] = {}
+# cell data -> (scan steps, distribution); the steps let the budget guard
+# run before a cached answer is returned.
+_DISTRIBUTION_CACHE: dict[tuple[int, ...], tuple[int, dict]] = {}
 
 
 def fine_cell_distribution(cell: FineCellLabel, budget: int | None = DEFAULT_BUDGET) -> dict:
     """Multiplicity of each phase-relevant coordinate tuple (p1, q1, r, s1, w1, w3).
 
-    The remaining six coordinates never enter the character, so candidates are
-    counted in blocks: for each assignment of the u_R data and r, the valid
-    (q1, q2) pairs and (p1, p2, p3) triples are counted independently and the
-    two counts multiply.
+    The remaining six coordinates never enter the character, so each solved
+    block contributes, for every r, the product of its (q1, q2) count at q1
+    and its (p1, p2, p3) count at p1.
     """
-    _check_budget(cell, budget)
     key = cell.as_tuple()
     if key in _DISTRIBUTION_CACHE:
-        return _DISTRIBUTION_CACHE[key]
-    d1, d2, d3, d4, d5, f = key
-    N = cell.level
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
+        steps, dist = _DISTRIBUTION_CACHE[key]
+        _check_budget(steps, budget)
+        return dist
+    steps, blocks = _scan(cell, budget)
     dist: dict[tuple[int, int, int, int, int, int], int] = {}
-    for s1 in range(mr[0]):
-        if math.gcd(s1, d4) != 1:
-            continue
-        for s2 in range(mr[1]):
-            if gcd_many([d4 * d5, d5 * s1, s2]) != 1:
-                continue
-            for s3 in range(mr[2]):
-                for w1 in range(mr[3]):
-                    for w2 in range(mr[4]):
-                        rs = [r for r in range(ml[5])
-                              if (r * s1 - d2 * d3) % d4 == 0
-                              and (r * s2 - d3 * w1) % (d4 * d5) == 0
-                              and (r * s3 - w2) % (d4 * d5 * f) == 0]
-                        if not rs:
-                            continue
-                        for w3 in range(mr[5]):
-                            q_counts: dict[int, int] = {}
-                            for q1 in range(ml[3]):
-                                count = 0
-                                for q2_step in range(ml[5]):
-                                    q2 = d2 * d3 * q2_step
-                                    if (q2 * s1 - d2 * d3 * q1) % (d2 * d3 * d4):
-                                        continue
-                                    if (d1 * d3 * d4 - d3 * q1 * w1 + q2 * s2) % (d2 * d3 * d4 * d5):
-                                        continue
-                                    if (d4 * w3 - q1 * w2 + q2 * s3) % (d2 * d3 * d4 * d5 * f):
-                                        continue
-                                    count += 1
-                                if count:
-                                    q_counts[q1] = count
-                            if not q_counts:
-                                continue
-                            p_counts: dict[int, int] = {}
-                            for p1 in range(ml[0]):
-                                if math.gcd(p1, d1) != 1:
-                                    continue
-                                count = 0
-                                for p2 in range(ml[1]):
-                                    for p3_step in range(ml[5]):
-                                        p3 = d1 * d2 * d3 * p3_step
-                                        if (s1 * p3 - d2 * d3 * p2) % (d1 * d2 * d3 * d4):
-                                            continue
-                                        if (d1 * d3 * d4 * p1 - d3 * p2 * w1 + p3 * s2) % (d1 * d2 * d3 * d4 * d5):
-                                            continue
-                                        if (d4 * p1 * w3 - p2 * w2 + p3 * s3 - d2 * d4 * d5) % N:
-                                            continue
-                                        count += 1
-                                if count:
-                                    p_counts[p1] = count
-                            if not p_counts:
-                                continue
-                            for r in rs:
-                                for q1, qc in q_counts.items():
-                                    for p1, pc in p_counts.items():
-                                        tup = (p1, q1, r, s1, w1, w3)
-                                        dist[tup] = dist.get(tup, 0) + qc * pc
-    _DISTRIBUTION_CACHE[key] = dist
+    for (s1, _, _, w1, _, w3), rs, q_pairs, p_triples in blocks:
+        q_counts: dict[int, int] = {}
+        for q1, _ in q_pairs:
+            q_counts[q1] = q_counts.get(q1, 0) + 1
+        p_counts: dict[int, int] = {}
+        for p1, _, _ in p_triples:
+            p_counts[p1] = p_counts.get(p1, 0) + 1
+        for r in rs:
+            for q1, qc in q_counts.items():
+                for p1, pc in p_counts.items():
+                    tup = (p1, q1, r, s1, w1, w3)
+                    dist[tup] = dist.get(tup, 0) + qc * pc
+    _DISTRIBUTION_CACHE[key] = (steps, dist)
     return dist
 
 
@@ -433,64 +480,15 @@ def fine_cell_representatives(cell: FineCellLabel,
                               budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple]:
     """Yield every canonical representative as a ((p), (s)) numerator pair.
 
-    Same blocked scan as fine_cell_distribution, but keeping the aggregated
-    coordinates, so each yielded pair pins down one double coset.
+    Same solved blocks as fine_cell_distribution, expanded instead of
+    counted, so each yielded pair pins down one double coset.
     """
-    _check_budget(cell, budget)
-    d1, d2, d3, d4, d5, f = cell.as_tuple()
-    N = cell.level
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
-    for s1 in range(mr[0]):
-        if math.gcd(s1, d4) != 1:
-            continue
-        for s2 in range(mr[1]):
-            if gcd_many([d4 * d5, d5 * s1, s2]) != 1:
-                continue
-            for s3 in range(mr[2]):
-                for w1 in range(mr[3]):
-                    for w2 in range(mr[4]):
-                        rs = [r for r in range(ml[5])
-                              if (r * s1 - d2 * d3) % d4 == 0
-                              and (r * s2 - d3 * w1) % (d4 * d5) == 0
-                              and (r * s3 - w2) % (d4 * d5 * f) == 0]
-                        if not rs:
-                            continue
-                        for w3 in range(mr[5]):
-                            q_pairs = []
-                            for q1 in range(ml[3]):
-                                for q2_step in range(ml[5]):
-                                    q2 = d2 * d3 * q2_step
-                                    if (q2 * s1 - d2 * d3 * q1) % (d2 * d3 * d4):
-                                        continue
-                                    if (d1 * d3 * d4 - d3 * q1 * w1 + q2 * s2) % (d2 * d3 * d4 * d5):
-                                        continue
-                                    if (d4 * w3 - q1 * w2 + q2 * s3) % (d2 * d3 * d4 * d5 * f):
-                                        continue
-                                    q_pairs.append((q1, q2))
-                            if not q_pairs:
-                                continue
-                            p_triples = []
-                            for p1 in range(ml[0]):
-                                if math.gcd(p1, d1) != 1:
-                                    continue
-                                for p2 in range(ml[1]):
-                                    for p3_step in range(ml[5]):
-                                        p3 = d1 * d2 * d3 * p3_step
-                                        if (s1 * p3 - d2 * d3 * p2) % (d1 * d2 * d3 * d4):
-                                            continue
-                                        if (d1 * d3 * d4 * p1 - d3 * p2 * w1 + p3 * s2) % (d1 * d2 * d3 * d4 * d5):
-                                            continue
-                                        if (d4 * p1 * w3 - p2 * w2 + p3 * s3 - d2 * d4 * d5) % N:
-                                            continue
-                                        p_triples.append((p1, p2, p3))
-                            if not p_triples:
-                                continue
-                            for r in rs:
-                                for q1, q2 in q_pairs:
-                                    for p1, p2, p3 in p_triples:
-                                        yield ((p1, p2, p3, q1, q2, r),
-                                               (s1, s2, s3, w1, w2, w3))
+    _, blocks = _scan(cell, budget)
+    for (s1, s2, s3, w1, w2, w3), rs, q_pairs, p_triples in blocks:
+        for r in rs:
+            for q1, q2 in q_pairs:
+                for p1, p2, p3 in p_triples:
+                    yield (p1, p2, p3, q1, q2, r), (s1, s2, s3, w1, w2, w3)
 
 
 def character_phase(cell: FineCellLabel, m: Sequence[int], n: Sequence[int],
@@ -524,7 +522,7 @@ def _fine_sum_oracle_reference(cell: FineCellLabel, m: Sequence[int], n: Sequenc
                                budget: int | None = DEFAULT_BUDGET) -> KloostermanResult:
     """Unblocked reference: walk the full coordinate grid, keep a candidate only
     when its matrix is integral and cell_of returns the requested cell."""
-    _check_budget(cell, budget)
+    _check_budget(cell.enumeration_budget(), budget)
     ml = cell.left_moduli()
     mr = cell.right_moduli()
     out = PhaseSum()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kloosterman.errors import EmptyInput, NotInvertible
+from kloosterman.errors import EmptyInput, NonPositive, NotInvertible
 from kloosterman.exactnum import (
     PhaseSum,
     divisor_tau,
@@ -15,6 +15,7 @@ from kloosterman.exactnum import (
     phase,
     phase_sum_eval,
     phase_sums_close,
+    solve_linear_congruence,
 )
 
 
@@ -33,6 +34,35 @@ def test_mod_inverse():
     assert (mod_inverse(17, 40) * 17) % 40 == 1
     with pytest.raises(NotInvertible):
         mod_inverse(6, 9)
+
+
+def test_solve_linear_congruence_against_brute_force():
+    for modulus in range(1, 31):
+        for a in range(-modulus, modulus):
+            for b in range(-modulus, modulus):
+                want = [x for x in range(2 * modulus) if (a * x - b) % modulus == 0]
+                sol = solve_linear_congruence(a, b, modulus)
+                if not want:
+                    assert sol is None
+                    continue
+                x0, step = sol
+                assert 0 <= x0 < step
+                for end in (0, x0, x0 + 1, modulus - 1, modulus, 2 * modulus):
+                    assert list(range(x0, end, step)) == [x for x in want if x < end]
+
+
+def test_solve_linear_congruence_cases():
+    assert solve_linear_congruence(3, 2, 7) == (3, 7)
+    assert solve_linear_congruence(4, 6, 10) == (4, 5)
+    assert solve_linear_congruence(4, 5, 10) is None
+    assert solve_linear_congruence(0, 0, 6) == (0, 1)
+    assert solve_linear_congruence(0, 3, 6) is None
+    assert solve_linear_congruence(5, -7, 1) == (0, 1)
+    x0, step = solve_linear_congruence(2, 4, 8)
+    assert (x0, step) == (2, 4)
+    assert list(range(x0, x0, step)) == list(range(x0, 1, step)) == []
+    with pytest.raises(NonPositive):
+        solve_linear_congruence(1, 1, 0)
 
 
 def test_divisor_functions():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,15 @@ from kloosterman.errors import (
     NotInBigCell,
     NotUnimodular,
 )
-from kloosterman.exactnum import PhaseSum, mod_inverse
+from kloosterman.exactnum import PhaseSum, gcd_many, mod_inverse
 from kloosterman.matrixcore import det
 from kloosterman.sl4fine import (
     CONDITION_NAMES,
+    DEFAULT_BUDGET,
     FineCellLabel,
     GammaFactor,
     _fine_sum_oracle_reference,
+    _scan,
     build_from_gammas,
     cell_of,
     cells_for_moduli,
@@ -148,6 +152,81 @@ def test_fast_oracle_matches_reference():
             assert fast.exact == slow.exact
 
 
+def _blocked_representatives(cell: FineCellLabel):
+    """Reference for the congruence-solved scan: the blocked loop it replaced,
+    which tests every (q1, q2) and (p1, p2, p3) inside each u_R block."""
+    d1, d2, d3, d4, d5, f = cell.as_tuple()
+    N = cell.level
+    ml = cell.left_moduli()
+    mr = cell.right_moduli()
+    for s1 in range(mr[0]):
+        if math.gcd(s1, d4) != 1:
+            continue
+        for s2 in range(mr[1]):
+            if gcd_many([d4 * d5, d5 * s1, s2]) != 1:
+                continue
+            for s3 in range(mr[2]):
+                for w1 in range(mr[3]):
+                    for w2 in range(mr[4]):
+                        rs = [r for r in range(ml[5])
+                              if (r * s1 - d2 * d3) % d4 == 0
+                              and (r * s2 - d3 * w1) % (d4 * d5) == 0
+                              and (r * s3 - w2) % (d4 * d5 * f) == 0]
+                        if not rs:
+                            continue
+                        for w3 in range(mr[5]):
+                            q_pairs = []
+                            for q1 in range(ml[3]):
+                                for q2_step in range(ml[5]):
+                                    q2 = d2 * d3 * q2_step
+                                    if (q2 * s1 - d2 * d3 * q1) % (d2 * d3 * d4):
+                                        continue
+                                    if (d1 * d3 * d4 - d3 * q1 * w1 + q2 * s2) % (d2 * d3 * d4 * d5):
+                                        continue
+                                    if (d4 * w3 - q1 * w2 + q2 * s3) % (d2 * d3 * d4 * d5 * f):
+                                        continue
+                                    q_pairs.append((q1, q2))
+                            if not q_pairs:
+                                continue
+                            p_triples = []
+                            for p1 in range(ml[0]):
+                                if math.gcd(p1, d1) != 1:
+                                    continue
+                                for p2 in range(ml[1]):
+                                    for p3_step in range(ml[5]):
+                                        p3 = d1 * d2 * d3 * p3_step
+                                        if (s1 * p3 - d2 * d3 * p2) % (d1 * d2 * d3 * d4):
+                                            continue
+                                        if (d1 * d3 * d4 * p1 - d3 * p2 * w1 + p3 * s2) % (d1 * d2 * d3 * d4 * d5):
+                                            continue
+                                        if (d4 * p1 * w3 - p2 * w2 + p3 * s3 - d2 * d4 * d5) % N:
+                                            continue
+                                        p_triples.append((p1, p2, p3))
+                            if not p_triples:
+                                continue
+                            for r in rs:
+                                for q1, q2 in q_pairs:
+                                    for p1, p2, p3 in p_triples:
+                                        yield ((p1, p2, p3, q1, q2, r),
+                                               (s1, s2, s3, w1, w2, w3))
+
+
+def test_solved_scan_matches_blocked_loop():
+    cells = list(itertools.product((1, 2), repeat=6))
+    cells += [(2, 2, 2, 2, 2, 2), (2, 1, 2, 2, 2, 4), (2, 2, 1, 3, 3, 2)]
+    # Units mod 5 are not all their own inverses, unlike those mod 2, 3 and 4.
+    cells += [(1, 2, 1, 5, 1, 1), (1, 1, 2, 5, 1, 1), (2, 2, 2, 5, 1, 2)]
+    for tup in cells:
+        cell = FineCellLabel(*tup)
+        want = sorted(_blocked_representatives(cell))
+        assert sorted(fine_cell_representatives(cell, budget=None)) == want
+        aggregated: dict = {}
+        for pl, pr in want:
+            key = (pl[0], pl[3], pl[5], pr[0], pr[3], pr[5])
+            aggregated[key] = aggregated.get(key, 0) + 1
+        assert fine_cell_distribution(cell, budget=None) == aggregated
+
+
 def test_frozen_distribution_masses():
     assert sum(fine_cell_distribution(FineCellLabel(1, 1, 1, 1, 1, 2)).values()) == 4
     assert sum(fine_cell_distribution(FineCellLabel(1, 1, 1, 1, 2, 1)).values()) == 2
@@ -230,14 +309,38 @@ def test_representatives_are_canonical_and_aggregate():
 
 def test_budget_guard():
     cell = FineCellLabel(2, 2, 2, 2, 2, 2)
+    steps, _ = _scan(cell, None)
+    assert 1000 < steps < cell.enumeration_budget()
+    # A cold scan stops once its running step count passes the limit.
+    with pytest.raises(BudgetExceeded) as exc:
+        next(fine_cell_representatives(cell, budget=1000))
+    assert 1000 < exc.value.budget <= steps
+    assert exc.value.limit == 1000
+    # A cached distribution keeps its full count, and the guard runs first.
+    fine_cell_distribution(cell, budget=None)
     with pytest.raises(BudgetExceeded) as exc:
         fine_cell_distribution(cell, budget=1000)
-    assert exc.value.budget == cell.enumeration_budget()
+    assert exc.value.budget == steps
     assert exc.value.limit == 1000
     with pytest.raises(BudgetExceeded):
         fine_sum_oracle(cell, (1, 1, 1), (1, 1, 1), budget=1000)
-    with pytest.raises(BudgetExceeded):
-        next(fine_cell_representatives(cell, budget=1000))
+    assert fine_cell_distribution(cell) is fine_cell_distribution(cell, budget=steps)
+
+
+def test_budget_guard_refuses_large_cells_early():
+    # One (r, w1, w2) group here is 10^9 steps, after four of set-up: it is
+    # counted, not built.
+    with pytest.raises(BudgetExceeded) as exc:
+        fine_cell_distribution(FineCellLabel(1, 1000, 1000, 1, 1, 1))
+    assert exc.value.budget == 4 + 10 ** 9
+    assert exc.value.limit == DEFAULT_BUDGET
+    # Here each (s1, s2) sweeps 1,000 values of s3: about 4 * 10^8 passes in
+    # all. Every sweep is counted before any runs, so the refusal is prompt.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        fine_cell_distribution(FineCellLabel(1, 1, 1, 1000, 1, 1))
+    assert time.perf_counter() - start < 5
+    assert DEFAULT_BUDGET < exc.value.budget <= DEFAULT_BUDGET + 1000
 
 
 def test_lemma57_unit_coordinates():
