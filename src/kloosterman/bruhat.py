@@ -7,30 +7,14 @@ reconstruction, so a transcription error in the formulas cannot survive.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, NotInBigCell, NotUnimodular
+from .errors import BadRank, InternalInconsistency, NotInBigCell, NotUnimodular
 from .exactnum import phase
 from .matrixcore import Matrix, det, diagonal, identity, mat_prod, minor
 from .weyl import long_word_matrix
-
-
-@dataclass(frozen=True)
-class ModuliVector:
-    """(c_1, ..., c_{n-1}): the corner-minor torus data; all entries nonzero."""
-
-    c: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v == 0 for v in self.c):
-            raise NotInBigCell(f"moduli must be nonzero: {self.c}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.c) + 1
 
 
 @dataclass(frozen=True)
@@ -53,12 +37,12 @@ def corner_minors(a: Matrix) -> list:
     return [minor(a, range(n - k + 1, n + 1), range(1, k + 1)) for k in range(1, n)]
 
 
-def t_from_minors(a: Matrix) -> ModuliVector:
+def t_from_minors(a: Matrix) -> tuple:
     """Torus data (t1, t1 t2, ..., t1...t_{n-1}) from the corner minors."""
     cs = corner_minors(a)
     if any(v == 0 for v in cs):
         raise NotInBigCell(f"corner minors {cs} contain zero")
-    return ModuliVector(tuple(cs))
+    return tuple(cs)
 
 
 def _u_left_entry(a: Matrix, i: int, j: int, c: list) -> Fraction:
@@ -80,7 +64,9 @@ def decompose(a: Matrix) -> BruhatDecomposition:
     if det(a) != 1:
         raise NotUnimodular(f"determinant is {det(a)}, not 1")
     n = a.n
-    cs = list(t_from_minors(a).c)
+    if n < 2:
+        raise BadRank(f"rank must be at least 2, got {n}")
+    cs = t_from_minors(a)
     t_values = [Fraction(cs[0])]
     for k in range(1, n - 1):
         t_values.append(Fraction(cs[k], cs[k - 1]))
@@ -135,33 +121,3 @@ def random_big_cell_matrix(n: int, rng: random.Random, min_factors: int = 8, max
             a = mat_prod(a, elementary(n, i, j, k))
         if all(v != 0 for v in corner_minors(a)):
             return a
-
-
-def random_integral_unipotent(n: int, rng: random.Random, bound: int = 3) -> Matrix:
-    rows = [list(r) for r in identity(n).rows]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randint(-bound, bound)
-    return Matrix(rows)
-
-
-def reduce_unipotent(u: Matrix, side: str) -> Matrix:
-    """Canonical coset representative: shift every entry into [0, 1).
-
-    Entries are cleared superdiagonal by superdiagonal; an integral shift on
-    the (i, j) entry only touches longer spans, so earlier normalizations
-    stay put. side "left" multiplies by E_{ij}(-floor) on the left (cosets
-    U(Z) u), side "right" on the right (cosets u U(Z))."""
-    if side not in ("left", "right"):
-        raise InternalInconsistency(f"side must be left or right, got {side!r}")
-    n = u.n
-    out = u
-    for span in range(1, n):
-        for i in range(1, n - span + 1):
-            j = i + span
-            shift = math.floor(out[i, j])
-            if shift == 0:
-                continue
-            e = elementary(n, i, j, -shift)
-            out = mat_prod(e, out) if side == "left" else mat_prod(out, e)
-    return out

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import OddSize
+from .errors import OddSize, SizeMismatch
 from .matrixcore import Matrix, det, identity, mat_prod, minor
 
 
@@ -78,6 +78,8 @@ def sp4_minor_relations(a: Matrix) -> dict[str, int]:
 
 def so4_relations(a: Matrix) -> dict[str, int]:
     """Column norm, column orthogonality, and determinant residuals."""
+    if a.n != 4:
+        raise SizeMismatch(f"SO(4) relations need a 4x4 matrix, got {a.n}x{a.n}")
     out = {}
     for j in range(1, 5):
         out[f"col{j}"] = sum(a[i, j] * a[i, j] for i in range(1, 5)) - 1

@@ -144,7 +144,12 @@ def _cache_key(kind: str, params: dict) -> str:
     return json.dumps({"kind": kind, "params": params}, sort_keys=True, separators=(",", ":"))
 
 
-def _cache_read(path: str, key: str) -> dict | None:
+def _cache_read(path: str, key: str, decode):
+    """decode(payload) of the first usable record for key, or None.
+
+    Lines that are not JSON objects, and matching records whose payload
+    decode rejects, are skipped with a warning; other versions silently.
+    """
     if not path or not os.path.exists(path):
         return None
     try:
@@ -155,11 +160,10 @@ def _cache_read(path: str, key: str) -> dict | None:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
+                    if record.get("key") == key and record.get("version") == __version__:
+                        return decode(record["payload"])
+                except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError):
                     print("warning: skipping corrupt cache line", file=sys.stderr)
-                    continue
-                if record.get("key") == key and record.get("version") == __version__:
-                    return record
     except OSError:
         return None
     return None
@@ -175,17 +179,22 @@ def _cache_append(path: str, record: dict) -> None:
         print(f"warning: cache write failed: {exc}", file=sys.stderr)
 
 
-def cache_lookup_or_compute(cache_path: str | None, kind: str, params: dict, compute):
-    """Returns (payload dict, cache_hit). payload carries serialized phase data."""
+def cache_lookup_or_compute(cache_path: str | None, kind: str, params: dict, compute, decode):
+    """Returns (decode(payload), cache_hit). compute() gives the payload dict
+    of serialized phase data that the cache stores."""
     key = _cache_key(kind, params)
     if cache_path:
-        record = _cache_read(cache_path, key)
-        if record is not None:
-            return record["payload"], True
+        value = _cache_read(cache_path, key, decode)
+        if value is not None:
+            return value, True
     payload = compute()
     if cache_path:
         _cache_append(cache_path, {"key": key, "version": __version__, "payload": payload})
-    return payload, False
+    return decode(payload), False
+
+
+def _decode_phases(payload: dict) -> tuple[PhaseSum, str]:
+    return PhaseSum.deserialize(payload["exact_phases"]), payload["method"]
 
 
 def _fraction_cell(value) -> list | int:
@@ -241,10 +250,9 @@ def _run_classical(args) -> dict:
         exact = kloosterman(query.m, query.n, query.c)
         return {"exact_phases": exact.serialize(), "method": "oracle"}
 
-    payload, hit = cache_lookup_or_compute(args.cache, "classical", params, compute)
-    exact = PhaseSum.deserialize(payload["exact_phases"])
-    doc = _serialize_result("classical", params, exact, payload["method"],
-                            {"cache_hit": hit})
+    (exact, method), hit = cache_lookup_or_compute(args.cache, "classical", params, compute,
+                                                   _decode_phases)
+    doc = _serialize_result("classical", params, exact, method, {"cache_hit": hit})
     if args.check_bound:
         report = weil_bound_holds(args.m, args.n, args.c)
         doc["bound"] = {"holds": report.holds, "lhs": report.lhs, "rhs": report.rhs}
@@ -265,26 +273,28 @@ def _run_decompose(args) -> dict:
 
 
 def _sl4_values(args, kind: str, params: dict, oracle_fn, closed_fn) -> dict:
-    def compute():
-        payload = {}
-        if args.method in ("oracle", "both"):
-            payload["oracle"] = oracle_fn().exact.serialize()
-        if args.method in ("closed", "both"):
-            payload["closed"] = closed_fn().exact.serialize()
-        return payload
+    parts = {"oracle": ("oracle",), "closed": ("closed",),
+             "both": ("oracle", "closed")}[args.method]
 
-    payload, hit = cache_lookup_or_compute(
-        args.cache, kind, {**params, "method": args.method}, compute)
+    def compute():
+        fns = {"oracle": oracle_fn, "closed": closed_fn}
+        return {part: fns[part]().exact.serialize() for part in parts}
+
+    def decode(payload):
+        return {part: PhaseSum.deserialize(payload[part]) for part in parts}
+
+    sums, hit = cache_lookup_or_compute(
+        args.cache, kind, {**params, "method": args.method}, compute, decode)
     extra: dict = {"cache_hit": hit}
     if args.method == "oracle":
-        exact = PhaseSum.deserialize(payload["oracle"])
+        exact = sums["oracle"]
         method = "oracle"
     elif args.method == "closed":
-        exact = PhaseSum.deserialize(payload["closed"])
+        exact = sums["closed"]
         method = "closed_form"
     else:
-        exact = PhaseSum.deserialize(payload["oracle"])
-        closed = PhaseSum.deserialize(payload["closed"])
+        exact = sums["oracle"]
+        closed = sums["closed"]
         method = "both"
         closed_value = phase_sum_eval(closed)
         extra["closed_value_re"] = closed_value.real
@@ -329,10 +339,9 @@ def _run_sl5_fine(args) -> dict:
                                      args.strict_paper_psi)
         return {"exact_phases": result.exact.serialize(), "method": result.method}
 
-    payload, hit = cache_lookup_or_compute(args.cache, "sl5-fine", params, compute)
-    exact = PhaseSum.deserialize(payload["exact_phases"])
-    return _serialize_result("sl5-fine", params, exact, payload["method"],
-                             {"cache_hit": hit})
+    (exact, method), hit = cache_lookup_or_compute(args.cache, "sl5-fine", params, compute,
+                                                   _decode_phases)
+    return _serialize_result("sl5-fine", params, exact, method, {"cache_hit": hit})
 
 
 def _run_groups(args) -> dict:

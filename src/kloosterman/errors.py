@@ -33,6 +33,10 @@ class SizeMismatch(KloostermanError):
     code = "size-mismatch"
 
 
+class BadMatrixFile(KloostermanError):
+    code = "bad-matrix-file"
+
+
 class BadRank(KloostermanError):
     code = "bad-rank"
 
@@ -67,10 +71,6 @@ class NonIntegralRefinement(KloostermanError):
 
 class NegativeCellData(KloostermanError):
     code = "negative-cell-data"
-
-
-class NotCoprime(KloostermanError):
-    code = "not-coprime"
 
 
 class BudgetExceeded(KloostermanError):

@@ -14,8 +14,6 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyInput, NonPositive, NotInvertible
 
-Rational = Fraction
-
 
 def gcd_many(values: Iterable[int]) -> int:
     """Nonnegative gcd of any number of integers; gcd of all zeros is 0."""
@@ -71,21 +69,6 @@ def divisor_tau(c: int) -> int:
     if n > 1:
         count *= 2
     return count
-
-
-def divisors(c: int) -> list[int]:
-    """Positive divisors of c, ascending."""
-    if c <= 0:
-        raise NonPositive(f"need a positive integer, got {c}")
-    small, large = [], []
-    d = 1
-    while d * d <= c:
-        if c % d == 0:
-            small.append(d)
-            if d != c // d:
-                large.append(c // d)
-        d += 1
-    return small + large[::-1]
 
 
 def euler_phi(c: int) -> int:

@@ -8,10 +8,11 @@ therefore equals the determinant.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadIndexSet, SizeMismatch
+from .errors import BadIndexSet, BadMatrixFile, SizeMismatch
 
 Scalar = int | Fraction
 
@@ -98,24 +99,14 @@ def det(m: Matrix) -> Scalar:
     scale = Fraction(1)
     work = []
     for row in m.rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // _gcd(den, v.denominator)
-        if den != 1:
-            scale *= den
+        den = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
+        scale *= den
         work.append([int(v * den) for v in row])
     d = _bareiss_det(work)
     if scale == 1:
         return d
     out = Fraction(d) / scale
     return out.numerator if out.denominator == 1 else out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -165,24 +156,29 @@ def matrix_to_file(m: Matrix, path: str) -> None:
         fh.write("\n")
 
 
+def _entry_from_json(v) -> Scalar:
+    if isinstance(v, list):
+        num, den = v
+        return Fraction(num, den)
+    return v
+
+
 def matrix_from_json(doc: dict) -> Matrix:
-    n = doc["n"]
-    entries = doc["entries"]
-    if len(entries) != n:
-        raise SizeMismatch(f"expected {n} rows, got {len(entries)}")
-    rows = []
-    for r in entries:
-        row = []
-        for v in r:
-            if isinstance(v, list):
-                num, den = v
-                row.append(Fraction(num, den))
-            else:
-                row.append(v)
-        rows.append(row)
-    return Matrix(rows)
+    """Matrix from {"n": ..., "entries": [[...], ...]}; a [num, den] pair is a fraction."""
+    try:
+        n = doc["n"]
+        entries = doc["entries"]
+        if len(entries) != n:
+            raise SizeMismatch(f"expected {n} rows, got {len(entries)}")
+        return Matrix([[_entry_from_json(v) for v in r] for r in entries])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadMatrixFile(f"not a matrix document: {exc!r}") from None
 
 
 def matrix_from_file(path: str) -> Matrix:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadMatrixFile(f"cannot read matrix file {path}: {exc}") from None
+    return matrix_from_json(doc)

@@ -23,14 +23,13 @@ from .errors import (
     NegativeCellData,
     NonIntegralArgument,
     NonIntegralRefinement,
-    NotCoprime,
     NotInBigCell,
     NotUnimodular,
 )
 from .exactnum import (PhaseSum, divisor_tau, gcd_many, mod_inverse, phase, phase_sum_eval,
                        solve_linear_congruence)
 from .matrixcore import Matrix, diagonal, mat_prod, minor
-from .weyl import SimpleRoot, embed, long_word_matrix, sl4_long_word
+from .weyl import SimpleRoot, embed, long_word_matrix, staircase_word
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -152,26 +151,24 @@ def gamma_coordinates(gammas: Sequence[GammaFactor]) -> tuple[tuple[int, int], .
     return tuple((g.x, g.y) for g in gammas)
 
 
-def build_from_gammas(cell: FineCellLabel, gammas: Sequence[GammaFactor]) -> Matrix:
-    """Product of the embedded 2x2 blocks along the word alpha beta alpha gamma beta alpha.
+def build_from_gammas(cell, gammas: Sequence[GammaFactor]) -> Matrix:
+    """Product of the embedded 2x2 blocks along the staircase word for w0.
 
-    The block at word slot k is gammas[slot k - 1] in the fixed slot order
-    (1, 3, 2, 6, 5, 4); gammas[5] carries f in its lower-left corner, the
-    others carry d1..d5.
+    A rank-n cell carries n(n-1)/2 values, the lower-left entries of the
+    blocks in order, the last one f. Word slot k takes the block numbered
+    by the slot order (1)(3, 2)(6, 5, 4)(10, 9, 8, 7)...; at rank 4 the word
+    is alpha beta alpha gamma beta alpha and the order (1, 3, 2, 6, 5, 4).
     """
-    if len(gammas) != 6:
-        raise CellMismatch(f"need six blocks, got {len(gammas)}")
-    lower_left = (cell.d1, cell.d2, cell.d3, cell.d4, cell.d5, cell.f)
+    lower_left = cell.as_tuple()
+    if len(gammas) != len(lower_left):
+        raise CellMismatch(f"need {len(lower_left)} blocks, got {len(gammas)}")
     for g, want in zip(gammas, lower_left):
         if g.d != want:
             raise CellMismatch(f"block lower-left entry {g.d} does not match cell value {want}")
-    word = sl4_long_word()
-    slots = (1, 3, 2, 6, 5, 4)
-    out = None
-    for letter, slot in zip(word, slots):
-        block = embed(SimpleRoot(4, letter), gammas[slot - 1].matrix())
-        out = block if out is None else mat_prod(out, block)
-    return out
+    n = (1 + math.isqrt(1 + 8 * len(lower_left))) // 2
+    slots = [s for k in range(1, n) for s in range(k * (k + 1) // 2, k * (k - 1) // 2, -1)]
+    return mat_prod(*[embed(SimpleRoot(n, letter), gammas[slot - 1].matrix())
+                      for letter, slot in zip(staircase_word(n), slots)])
 
 
 def cell_of(a: Matrix) -> FineCellLabel:
@@ -279,33 +276,6 @@ def congruence_system(cell: FineCellLabel, coords: Sequence[tuple[int, int]]) ->
     """Evaluate the integrality congruences on parametrization coordinates."""
     pl, pr = representative_data(cell, coords)
     return CongruenceReport(residuals=representative_congruences(cell, pl, pr))
-
-
-def lemma57_check(cell: FineCellLabel, coords: Sequence[tuple[int, int]]) -> dict[str, int]:
-    """Residuals of the four derived congruences on unit coordinate data.
-
-    Requires x1, x3, y4 coprime to the cell level and x3 y3 = 1 mod level;
-    the stated moduli are kept as printed, including the trivially satisfied
-    fourth one.
-    """
-    d1, d2, d3, d4, d5, f = cell.as_tuple()
-    N = cell.level
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6) = coords
-    for name, v in (("x1", x1), ("x3", x3), ("y4", y4)):
-        if math.gcd(v, N) != 1:
-            raise NotCoprime(f"{name} = {v} shares a factor with the level {N}")
-    if (x3 * y3 - 1) % N:
-        raise NotCoprime(f"x3 y3 = {x3 * y3} is not 1 mod the level {N}")
-    aux = AuxQuantities.from_coordinates(cell, coords)
-    x1_bar = mod_inverse(x1 % N, N) if N > 1 else 0
-    y4_bar = mod_inverse(y4 % N, N) if N > 1 else 0
-    return {
-        "u1-unit": (d2 * d3 * aux.u1 - d2 * d2 * d3 * x1_bar * x3) % (d1 * d2 * d3),
-        "T-unit": (aux.T - d2 * d3 * y4_bar) % d4,
-        "v2-unit": (d3 * aux.v2 - d2 * d3 * y4_bar * y5) % d4,
-        "w3-unit": (d2 * d3 * d4 * (d5 * aux.v1 + d1 * d3 * x5 * y6)
-                    - d2 * d2 * d3 * d4 * d5 * x1_bar) % (d2 * d3),
-    }
 
 
 def representative_matrix(cell: FineCellLabel, pl: Sequence[int], pr: Sequence[int]):
@@ -442,7 +412,9 @@ def _scan(cell: FineCellLabel, budget: int | None):
 
 
 # cell data -> (scan steps, distribution); the steps let the budget guard
-# run before a cached answer is returned.
+# run before a cached answer is returned. Holds at most
+# DISTRIBUTION_CACHE_CELLS cells, the oldest evicted first.
+DISTRIBUTION_CACHE_CELLS = 1024
 _DISTRIBUTION_CACHE: dict[tuple[int, ...], tuple[int, dict]] = {}
 
 
@@ -472,6 +444,8 @@ def fine_cell_distribution(cell: FineCellLabel, budget: int | None = DEFAULT_BUD
                 for p1, pc in p_counts.items():
                     tup = (p1, q1, r, s1, w1, w3)
                     dist[tup] = dist.get(tup, 0) + qc * pc
+    while len(_DISTRIBUTION_CACHE) >= DISTRIBUTION_CACHE_CELLS:
+        del _DISTRIBUTION_CACHE[next(iter(_DISTRIBUTION_CACHE))]
     _DISTRIBUTION_CACHE[key] = (steps, dist)
     return dist
 

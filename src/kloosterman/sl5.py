@@ -1,6 +1,7 @@
 """SL5 long-word cells: parametrization by ten 2x2 blocks and a small oracle.
 
-Mirrors the SL4 layer one rank up. A fine cell carries nine d-parameters and
+Mirrors the SL4 layer one rank up and builds through the same block product,
+`sl4fine.build_from_gammas`. A fine cell carries nine d-parameters and
 f; canonical coordinates live at twenty superdiagonal positions. Only the
 enumeration oracle is provided at this rank, with a budget guard, since the
 coordinate grid grows as the product of all twenty moduli.
@@ -14,13 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bruhat import decompose, psi
-from .errors import BudgetExceeded, CellMismatch, InternalInconsistency, NegativeCellData
+from .errors import BudgetExceeded, InternalInconsistency, NegativeCellData
 from .exactnum import PhaseSum, gcd_many
 from .matrixcore import Matrix, diagonal, mat_prod, minor
-from .sl4fine import GammaFactor, KloostermanResult
-from .weyl import SimpleRoot, embed, long_word_matrix, sl5_long_word
-
-SL5_GAMMA_SLOTS = (1, 3, 2, 6, 5, 4, 10, 9, 8, 7)
+from .sl4fine import GammaFactor, KloostermanResult, build_from_gammas
+from .weyl import long_word_matrix
 
 
 @dataclass(frozen=True)
@@ -125,31 +124,6 @@ class SL5AuxQuantities:
         )
 
 
-def sl5_build_from_gammas(cell: SL5FineCellLabel, gammas: Sequence[GammaFactor]) -> Matrix:
-    """Product of embedded blocks along the ten-letter long word.
-
-    Block slots follow the fixed order (1, 3, 2, 6, 5, 4, 10, 9, 8, 7) against
-    the word alpha beta alpha gamma beta alpha delta gamma beta alpha; the
-    last slot carries f in its lower-left corner.
-    """
-    if len(gammas) != 10:
-        raise CellMismatch(f"need ten blocks, got {len(gammas)}")
-    for g, want in zip(gammas, cell.as_tuple()):
-        if g.d != want:
-            raise CellMismatch(f"block lower-left entry {g.d} does not match cell value {want}")
-    out = None
-    for letter, slot in zip(sl5_long_word(), SL5_GAMMA_SLOTS):
-        block = embed(SimpleRoot(5, letter), gammas[slot - 1].matrix())
-        out = block if out is None else mat_prod(out, block)
-    return out
-
-
-def sl5_invariants_of(a: Matrix) -> tuple[int, int, int, int]:
-    """(c1, c2, c3, c4): corner entry and nested lower-left minors."""
-    return (a[5, 1], minor(a, (4, 5), (1, 2)), minor(a, (3, 4, 5), (1, 2, 3)),
-            minor(a, (2, 3, 4, 5), (1, 2, 3, 4)))
-
-
 def sl5_gcd_lemma_holds(a: Matrix) -> bool:
     """Bottom-row gcd equals the gcd of the four corner 4-minors."""
     row = gcd_many([a[5, 1], a[5, 2], a[5, 3], a[5, 4]])
@@ -169,7 +143,7 @@ def sl5_display_factors(cell: SL5FineCellLabel, gammas: Sequence[GammaFactor]):
     entry disagrees with the minor-quotient decomposition.
     """
     d1, d2, d3, d4, d5, d6, d7, d8, d9, f = cell.as_tuple()
-    a = sl5_build_from_gammas(cell, gammas)
+    a = build_from_gammas(cell, gammas)
     dec = decompose(a)
     coords = [(g.x, g.y) for g in gammas]
     x = [c[0] for c in coords]
@@ -207,19 +181,6 @@ def _effective_characters(m: Sequence[int], n: Sequence[int], strict_paper_psi: 
     if strict_paper_psi:
         return (m[0], m[1], m[2], m[2]), (n[0], n[1], n[2], n[2])
     return tuple(m), tuple(n)
-
-
-def sl5_character_phase(cell: SL5FineCellLabel, gammas: Sequence[GammaFactor],
-                        m: Sequence[int], n: Sequence[int],
-                        strict_paper_psi: bool = False) -> Fraction:
-    """Superdiagonal character phase of a built matrix's two unipotent factors.
-
-    With strict_paper_psi the third component of each character is applied to
-    both the (3, 4) and (4, 5) entries and the fourth component is ignored.
-    """
-    u_left, _, u_right = sl5_display_factors(cell, gammas)
-    em, en = _effective_characters(m, n, strict_paper_psi)
-    return (psi(em, u_left) + psi(en, u_right)) % 1
 
 
 def sl5_fine_sum_oracle(cell: SL5FineCellLabel, m: Sequence[int], n: Sequence[int],

@@ -33,7 +33,6 @@ from .sl4fine import (
     GammaFactor,
     build_from_gammas,
     cells_for_moduli,
-    character_phase,
     closed_form_applicable,
     coarse_sum,
     fine_cell_distribution,
@@ -43,7 +42,7 @@ from .sl4fine import (
     lemma_checks,
     longword_bound_holds,
 )
-from .sl5 import SL5FineCellLabel, sl5_build_from_gammas, sl5_gcd_lemma_holds
+from .sl5 import SL5FineCellLabel, sl5_gcd_lemma_holds
 from .weyl import (
     long_word_matrix,
     long_word_permutation,
@@ -218,7 +217,7 @@ def builds_suite(seed: int, count: int = 500, bound: int = 3) -> SuiteReport:
             gammas5 = [random_gamma_factor(v, rng) for v in cell5.as_tuple()]
             checked += 1
             try:
-                a5 = sl5_build_from_gammas(cell5, gammas5)
+                a5 = build_from_gammas(cell5, gammas5)
                 sl5_display_factors(cell5, gammas5)
                 if not (a5.is_integral() and det(a5) == 1 and sl5_gcd_lemma_holds(a5)):
                     failures += 1
@@ -342,19 +341,16 @@ def cross_validation_suite(d_bound: int = 2, char_values: tuple = (0, 1, 2),
     for data in itertools.product(range(1, d_bound + 1), repeat=6):
         cell = FineCellLabel(*data)
         cells += 1
-        dist = fine_cell_distribution(cell, budget=None)
         for m in itertools.product(char_values, repeat=3):
             for n in itertools.product(char_values, repeat=3):
                 if not closed_form_applicable(cell, m, n):
                     continue
                 rows += 1
-                oracle = PhaseSum()
-                for key, mult in dist.items():
-                    oracle.add_term(character_phase(cell, m, n, key), mult)
-                closed = fine_sum_closed_form(cell, m, n).exact
-                ov = phase_sum_eval(oracle)
-                cv = phase_sum_eval(closed)
-                if abs(ov - cv) <= tolerance * (1 + oracle.mass() + closed.mass()):
+                oracle = fine_sum_oracle(cell, m, n, budget=None)
+                closed = fine_sum_closed_form(cell, m, n)
+                ov = oracle.numeric
+                cv = closed.numeric
+                if abs(ov - cv) <= tolerance * (1 + oracle.exact.mass() + closed.exact.mass()):
                     agreements += 1
                 else:
                     records.append({
@@ -490,7 +486,7 @@ def bound_suite(c_bound: int = 4, char_bound: int = 2, seed: int = 0,
             continue
         for m in itertools.product(range(-char_bound, char_bound + 1), repeat=3):
             for n in itertools.product(range(-char_bound, char_bound + 1), repeat=3):
-                value = fine_sum_oracle_coarse_value(c, m, n)
+                value = coarse_sum(c, m, n, budget=None).numeric
                 checked += 1
                 if not longword_bound_holds(c, m, n, value).holds:
                     failures += 1
@@ -499,7 +495,7 @@ def bound_suite(c_bound: int = 4, char_bound: int = 2, seed: int = 0,
         c = tuple(rng.randint(1, 2) for _ in range(3))
         m = tuple(rng.randint(-char_bound, char_bound) for _ in range(3))
         n = tuple(rng.randint(-char_bound, char_bound) for _ in range(3))
-        value = phase_sum_eval(coarse_sum(c, m, n, budget=None).exact)
+        value = coarse_sum(c, m, n, budget=None).numeric
         checked += 1
         if not longword_bound_holds(c, m, n, value).holds:
             failures += 1
@@ -508,10 +504,6 @@ def bound_suite(c_bound: int = 4, char_bound: int = 2, seed: int = 0,
                        {"c_bound": c_bound, "char_bound": char_bound,
                         "spot_checks": spot_checks, "spot_failures": spot_failures,
                         "seed": seed})
-
-
-def fine_sum_oracle_coarse_value(c, m, n) -> complex:
-    return phase_sum_eval(coarse_sum(c, m, n, budget=None).exact)
 
 
 def groups_suite(seed: int, words: int = 200) -> SuiteReport:

@@ -1,17 +1,15 @@
 """Weyl-group machinery for SL_n: permutations, reduced words, the long word.
 
 Signed permutation matrices and abstract permutations are kept as distinct
-types; the sign-forgetting projection is `permutation_of_signed_matrix`.
+types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLetter, BadRank, BadRoot, NotUnimodular
+from .errors import BadLetter, BadRank, BadRoot
 from .matrixcore import Matrix, identity, mat_mul
-
-GREEK = ("alpha", "beta", "gamma", "delta")
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,6 @@ class Permutation:
         """self after other: (self*other)(i) = self(other(i))."""
         return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def inversions(self) -> int:
-        im = self.images
-        return sum(1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j])
-
 
 def identity_perm(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
@@ -59,7 +53,7 @@ def long_word_permutation(n: int) -> Permutation:
 
 @dataclass(frozen=True)
 class SimpleRoot:
-    """Simple root alpha_i of SL_n; coordinate vector has +1 at i, -1 at i+1."""
+    """Simple root alpha_i of SL_n, 1 <= i <= n - 1."""
 
     n: int
     index: int
@@ -67,17 +61,6 @@ class SimpleRoot:
     def __post_init__(self):
         if self.n < 2 or not 1 <= self.index <= self.n - 1:
             raise BadRoot(f"no simple root {self.index} at rank {self.n}")
-
-    @property
-    def vector(self) -> tuple[int, ...]:
-        v = [0] * self.n
-        v[self.index - 1] = 1
-        v[self.index] = -1
-        return tuple(v)
-
-    @property
-    def name(self) -> str:
-        return GREEK[self.index - 1] if self.index <= len(GREEK) else f"a{self.index}"
 
 
 def embed(root: SimpleRoot, g: Matrix) -> Matrix:
@@ -114,19 +97,6 @@ def long_word_matrix(n: int) -> Matrix:
     return Matrix(rows)
 
 
-def parse_word(text: str) -> tuple[int, ...]:
-    """Comma-separated letter indices, e.g. '1,2,1,3,2,1'."""
-    if not text.strip():
-        return ()
-    word = []
-    for part in text.split(","):
-        try:
-            word.append(int(part))
-        except ValueError:
-            raise BadLetter(f"bad word letter {part.strip()!r}") from None
-    return tuple(word)
-
-
 def word_to_matrix(word: tuple[int, ...], n: int) -> Matrix:
     """Product of s_* matrices in word order; empty word gives the identity."""
     out = identity(n)
@@ -142,12 +112,6 @@ def word_to_permutation(word: tuple[int, ...], n: int) -> Permutation:
     return out
 
 
-def is_reduced(word: tuple[int, ...], n: int) -> bool:
-    """A word is reduced when its length equals the inversion count of the
-    permutation it evaluates to."""
-    return word_to_permutation(word, n).inversions() == len(word)
-
-
 def staircase_word(n: int) -> tuple[int, ...]:
     """s_1 (s_2 s_1) (s_3 s_2 s_1) ... (s_{n-1} ... s_1)."""
     if n < 2:
@@ -156,24 +120,3 @@ def staircase_word(n: int) -> tuple[int, ...]:
     for k in range(1, n):
         word.extend(range(k, 0, -1))
     return tuple(word)
-
-
-def sl4_long_word() -> tuple[int, ...]:
-    """alpha beta alpha gamma beta alpha."""
-    return (1, 2, 1, 3, 2, 1)
-
-
-def sl5_long_word() -> tuple[int, ...]:
-    """alpha beta alpha gamma beta alpha delta gamma beta alpha."""
-    return (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
-
-
-def permutation_of_signed_matrix(m: Matrix) -> Permutation:
-    """Sign-forgetting projection of a signed permutation matrix."""
-    images = [0] * m.n
-    for j in range(1, m.n + 1):
-        hits = [i for i in range(1, m.n + 1) if m[i, j] != 0]
-        if len(hits) != 1 or m[hits[0], j] not in (1, -1):
-            raise NotUnimodular("not a signed permutation matrix")
-        images[j - 1] = hits[0]
-    return Permutation(tuple(images))

@@ -179,6 +179,11 @@ def test_criterion_09_closed_form_cross_validation():
     assert report.checked == 8748
     assert details["agreements"] == 729
     assert details["disagreements"] == 8019
+    # The closed form cancels to zero on 522 rows, in 12 cells, where the
+    # oracle is nonzero; no_false_zero rules out the reverse.
+    closed_zero = [r for r in records if abs(complex(r["closed_re"], r["closed_im"])) < 1e-9]
+    assert len(closed_zero) == 522
+    assert len({tuple(r["cell"]) for r in closed_zero}) == 12
     assert elapsed < 600.0
 
 

@@ -4,25 +4,31 @@ from fractions import Fraction
 import pytest
 
 from kloosterman.bruhat import (
-    ModuliVector,
     corner_minors,
     decompose,
     elementary,
     psi,
     random_big_cell_matrix,
-    random_integral_unipotent,
-    reduce_unipotent,
     t_from_minors,
 )
-from kloosterman.errors import InternalInconsistency, NotInBigCell, NotUnimodular
+from kloosterman.errors import BadRank, InternalInconsistency, NotInBigCell, NotUnimodular
 from kloosterman.matrixcore import Matrix, identity, mat_prod
 from kloosterman.weyl import long_word_matrix
 
 
+def integral_unipotent(n, rng, bound=3):
+    rows = [list(r) for r in identity(n).rows]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-bound, bound)
+    return Matrix(rows)
+
+
 def test_moduli_vector_rejects_zero():
-    assert ModuliVector((1, -2, 3)).rank == 4
+    a = Matrix([[1, 0, 0], [2, 1, 0], [-3, 4, 1]])
+    assert t_from_minors(a) == (-3, 11)
     with pytest.raises(NotInBigCell):
-        ModuliVector((1, 0, 3))
+        t_from_minors(Matrix([[1, 0, 0], [1, 1, 0], [2, 2, 1]]))
 
 
 def test_corner_minors_against_hand_values():
@@ -42,7 +48,7 @@ def test_corner_minors_unchanged_by_unipotent_factors():
     for _ in range(20):
         n = rng.choice((3, 4))
         a = random_big_cell_matrix(n, rng)
-        u = random_integral_unipotent(n, rng)
+        u = integral_unipotent(n, rng)
         assert corner_minors(mat_prod(u, a)) == corner_minors(a)
         assert corner_minors(mat_prod(a, u)) == corner_minors(a)
 
@@ -75,6 +81,8 @@ def test_decompose_rejections():
         decompose(Matrix([[2, 0], [0, 1]]))
     with pytest.raises(NotInBigCell):
         decompose(identity(3))
+    with pytest.raises(BadRank):
+        decompose(identity(1))
 
 
 def test_psi_phase():
@@ -91,50 +99,3 @@ def test_elementary():
     assert e[1, 3] == -2
     assert e[1, 1] == 1 and e[2, 2] == 1
     assert mat_prod(e, elementary(4, 1, 3, 2)) == identity(4)
-
-
-def test_random_integral_unipotent():
-    rng = random.Random(5)
-    for _ in range(20):
-        u = random_integral_unipotent(4, rng)
-        assert u.is_integral()
-        for i in range(1, 5):
-            assert u[i, i] == 1
-            for j in range(1, i):
-                assert u[i, j] == 0
-
-
-def test_reduce_unipotent_lands_in_unit_box():
-    rng = random.Random(23)
-    for _ in range(30):
-        n = rng.choice((3, 4, 5))
-        rows = [list(r) for r in identity(n).rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-        u = Matrix(rows)
-        for side in ("left", "right"):
-            red = reduce_unipotent(u, side)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    assert 0 <= red[i, j] < 1
-            assert reduce_unipotent(red, side) == red
-
-
-def test_reduce_unipotent_is_coset_invariant():
-    rng = random.Random(31)
-    for _ in range(30):
-        n = rng.choice((3, 4))
-        rows = [list(r) for r in identity(n).rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
-        u = Matrix(rows)
-        shift = random_integral_unipotent(n, rng)
-        assert reduce_unipotent(mat_prod(shift, u), "left") == reduce_unipotent(u, "left")
-        assert reduce_unipotent(mat_prod(u, shift), "right") == reduce_unipotent(u, "right")
-
-
-def test_reduce_unipotent_side_checked():
-    with pytest.raises(InternalInconsistency):
-        reduce_unipotent(identity(3), "middle")

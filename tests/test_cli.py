@@ -4,7 +4,8 @@ import random
 import pytest
 
 from kloosterman.classicalgroups import SymplecticForm
-from kloosterman.cli import CACHE_ENV, main
+from kloosterman import __version__
+from kloosterman.cli import CACHE_ENV, _cache_key, main
 from kloosterman.matrixcore import matrix_to_file
 from kloosterman.sl4fine import FineCellLabel, build_from_gammas
 from kloosterman.verify import random_gamma_factor
@@ -142,6 +143,31 @@ def test_decompose_rejects_non_cell_matrix(capsys, tmp_path):
     assert json.loads(captured.err)["error"] == "not-in-big-cell"
 
 
+@pytest.mark.parametrize("command, text, code", [
+    ("decompose", None, "bad-matrix-file"),
+    ("decompose", '{"n": 2, "entries": [[1, 0], [0, 1]]', "bad-matrix-file"),
+    ("decompose", '{"entries": [[1]]}', "bad-matrix-file"),
+    ("decompose", '{"n": 1}', "bad-matrix-file"),
+    ("decompose", '{"n": 2, "entries": [[1, "x"], [0, 1]]}', "bad-matrix-file"),
+    ("decompose", '{"n": 2, "entries": [[1, [1, 0]], [0, 1]]}', "bad-matrix-file"),
+    ("decompose", '{"n": 1, "entries": [[1]]}', "bad-rank"),
+    ("so4", '{"n": 2, "entries": [[1, 0], [0, 1]]}', "size-mismatch"),
+], ids=["missing", "invalid-json", "no-n", "no-entries", "non-numeric", "zero-denominator",
+        "decompose-1x1", "so4-2x2"])
+def test_bad_matrix_input_exit_codes(capsys, tmp_path, command, text, code):
+    path = tmp_path / "matrix.json"
+    if text is not None:
+        path.write_text(text)
+    if command == "decompose":
+        argv = ["decompose", "--matrix", str(path)]
+    else:
+        argv = ["groups", "check", "--kind", command, "--matrix", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == code
+
+
 def test_groups_check(capsys, tmp_path):
     path = tmp_path / "j.json"
     matrix_to_file(SymplecticForm(2).matrix, str(path))
@@ -200,16 +226,23 @@ def test_cache_round_trip(capsys, tmp_path):
 
 def test_cache_tolerates_corrupt_lines(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text("this is not json\n")
+    key = _cache_key("sl4-fine", {"cell": [1, 1, 1, 1, 1, 2], "m": [0, 0, 1],
+                                  "n": [0, 0, 0], "method": "oracle"})
+    # Not JSON; JSON but not an object; the right key and version, no payload.
+    corrupt = ["this is not json", "12", json.dumps({"key": key, "version": __version__})]
+    cache.write_text("\n".join(corrupt) + "\n")
     argv = ["sl4", "fine", "--cell", "1,1,1,1,1,2", "-m", "0,0,1", "-n", "0,0,0",
             "--cache", str(cache)]
-    code, first = run_json(capsys, argv)
+    code = main(argv)
+    captured = capsys.readouterr()
+    first = json.loads(captured.out)
     assert code == 0 and first["cache_hit"] is False
+    assert captured.err.count("corrupt cache line") == 3
     code = main(argv)
     captured = capsys.readouterr()
     second = json.loads(captured.out)
     assert code == 0 and second["cache_hit"] is True
-    assert "corrupt cache line" in captured.err
+    assert captured.err.count("corrupt cache line") == 3
     assert second["exact_phases"] == first["exact_phases"] == [[0, 1, 2], [1, 2, 2]]
 
 
@@ -246,5 +279,4 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    from kloosterman import __version__
     assert capsys.readouterr().out.strip() == __version__

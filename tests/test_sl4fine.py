@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from kloosterman.bruhat import decompose, reduce_unipotent
+from kloosterman.bruhat import decompose
 from kloosterman.errors import (
     BudgetExceeded,
     CellMismatch,
     NegativeCellData,
-    NotCoprime,
     NotInBigCell,
     NotUnimodular,
 )
-from kloosterman.exactnum import PhaseSum, gcd_many, mod_inverse
+from kloosterman.exactnum import PhaseSum, gcd_many
+from kloosterman import sl4fine
 from kloosterman.matrixcore import det
 from kloosterman.sl4fine import (
     CONDITION_NAMES,
@@ -36,7 +36,6 @@ from kloosterman.sl4fine import (
     fine_sum_closed_form,
     fine_sum_oracle,
     gamma_coordinates,
-    lemma57_check,
     lemma_checks,
     longword_bound_holds,
     representative_congruences,
@@ -300,8 +299,8 @@ def test_representatives_are_canonical_and_aggregate():
             a, u_left, u_right = representative_matrix(cell, pl, pr)
             assert a.is_integral()
             assert cell_of(a) == cell
-            assert reduce_unipotent(u_left, "left") == u_left
-            assert reduce_unipotent(u_right, "right") == u_right
+            for u in (u_left, u_right):
+                assert all(0 <= u[i, j] < 1 for i in range(1, 5) for j in range(i + 1, 5))
             key = (pl[0], pl[3], pl[5], pr[0], pr[3], pr[5])
             aggregated[key] = aggregated.get(key, 0) + 1
         assert aggregated == fine_cell_distribution(cell)
@@ -327,6 +326,21 @@ def test_budget_guard():
     assert fine_cell_distribution(cell) is fine_cell_distribution(cell, budget=steps)
 
 
+def test_distribution_cache_evicts_oldest_cells(monkeypatch):
+    monkeypatch.setattr(sl4fine, "DISTRIBUTION_CACHE_CELLS", 2)
+    monkeypatch.setattr(sl4fine, "_DISTRIBUTION_CACHE", {})
+    a, b, c = (FineCellLabel(*t) for t in SINGLE_TWO_CELLS[:3])
+    dist_a = fine_cell_distribution(a)
+    dist_b = fine_cell_distribution(b)
+    assert fine_cell_distribution(a) is dist_a
+    fine_cell_distribution(c)
+    assert list(sl4fine._DISTRIBUTION_CACHE) == [b.as_tuple(), c.as_tuple()]
+    assert fine_cell_distribution(b) is dist_b
+    rescanned = fine_cell_distribution(a)
+    assert rescanned is not dist_a and rescanned == dist_a
+    assert list(sl4fine._DISTRIBUTION_CACHE) == [c.as_tuple(), a.as_tuple()]
+
+
 def test_budget_guard_refuses_large_cells_early():
     # One (r, w1, w2) group here is 10^9 steps, after four of set-up: it is
     # counted, not built.
@@ -341,35 +355,6 @@ def test_budget_guard_refuses_large_cells_early():
         fine_cell_distribution(FineCellLabel(1, 1, 1, 1000, 1, 1))
     assert time.perf_counter() - start < 5
     assert DEFAULT_BUDGET < exc.value.budget <= DEFAULT_BUDGET + 1000
-
-
-def test_lemma57_unit_coordinates():
-    rng = random.Random(71)
-    for tup in [(2, 1, 1, 1, 1, 1), (1, 2, 1, 3, 1, 1), (2, 1, 3, 1, 1, 2)]:
-        cell = FineCellLabel(*tup)
-        level = cell.level
-        units = [x for x in range(1, level + 1) if math.gcd(x, level) == 1]
-        for _ in range(10):
-            coords = []
-            for _ in range(6):
-                x = rng.choice(units)
-                y = mod_inverse(x, level) if level > 1 else rng.randint(-4, 4)
-                coords.append((x, y if level > 1 else 1))
-            residuals = lemma57_check(cell, coords)
-            assert set(residuals) == {"u1-unit", "T-unit", "v2-unit", "w3-unit"}
-            assert all(v == 0 for v in residuals.values())
-
-
-def test_lemma57_rejects_non_units():
-    cell = FineCellLabel(2, 1, 1, 1, 1, 1)
-    good = [(1, 1)] * 6
-    bad_x1 = [(2, 1)] + [(1, 1)] * 5
-    with pytest.raises(NotCoprime):
-        lemma57_check(cell, bad_x1)
-    bad_pair = [(1, 1), (1, 1), (1, 2), (1, 1), (1, 1), (1, 1)]
-    with pytest.raises(NotCoprime):
-        lemma57_check(cell, bad_pair)
-    assert all(v == 0 for v in lemma57_check(cell, good).values())
 
 
 def test_cells_for_moduli_frozen():

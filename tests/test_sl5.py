@@ -1,20 +1,17 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from kloosterman.bruhat import decompose
+from kloosterman.bruhat import corner_minors, decompose
 from kloosterman.errors import BudgetExceeded, CellMismatch, NegativeCellData
 from kloosterman.exactnum import PhaseSum
 from kloosterman.matrixcore import det
+from kloosterman.sl4fine import build_from_gammas
 from kloosterman.sl5 import (
     SL5FineCellLabel,
-    sl5_build_from_gammas,
-    sl5_character_phase,
     sl5_display_factors,
     sl5_fine_sum_oracle,
     sl5_gcd_lemma_holds,
-    sl5_invariants_of,
 )
 from kloosterman.verify import random_gamma_factor
 
@@ -50,11 +47,10 @@ def test_seeded_builds_round_trip():
     for _ in range(40):
         cell = SL5FineCellLabel(*rng.choice(SMALL_CELLS))
         gammas = [random_gamma_factor(v, rng) for v in cell.as_tuple()]
-        a = sl5_build_from_gammas(cell, gammas)
+        a = build_from_gammas(cell, gammas)
         assert a.is_integral()
         assert det(a) == 1
-        c1, c2, c3, c4 = cell.moduli
-        assert sl5_invariants_of(a) == (c1, c2, c3, c4)
+        assert corner_minors(a) == list(cell.moduli)
         assert sl5_gcd_lemma_holds(a)
         u_left, torus, u_right = sl5_display_factors(cell, gammas)
         d = decompose(a)
@@ -68,26 +64,11 @@ def test_build_rejections():
     rng = random.Random(3)
     gammas = [random_gamma_factor(v, rng) for v in cell.as_tuple()]
     with pytest.raises(CellMismatch):
-        sl5_build_from_gammas(cell, gammas[:9])
+        build_from_gammas(cell, gammas[:9])
     bad = list(gammas)
     bad[0] = random_gamma_factor(5, rng)
     with pytest.raises(CellMismatch):
-        sl5_build_from_gammas(cell, bad)
-
-
-def test_character_phase_strict_mode():
-    rng = random.Random(17)
-    cell = SL5FineCellLabel(*SMALL_CELLS[4])
-    for _ in range(10):
-        gammas = [random_gamma_factor(v, rng) for v in cell.as_tuple()]
-        m = tuple(rng.randint(-3, 3) for _ in range(3))
-        n = tuple(rng.randint(-3, 3) for _ in range(3))
-        relaxed = sl5_character_phase(cell, gammas, m + (m[2],), n + (n[2],))
-        strict = sl5_character_phase(cell, gammas, m + (rng.randint(-9, 9),),
-                                     n + (rng.randint(-9, 9),), strict_paper_psi=True)
-        assert relaxed == strict
-        assert 0 <= relaxed < 1
-        assert isinstance(relaxed, Fraction)
+        build_from_gammas(cell, bad)
 
 
 def test_oracle_trivial_cell():
