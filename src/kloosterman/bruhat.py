@@ -3,16 +3,22 @@
 The torus part is read off the lower-left corner minors; the unipotent
 factors come entrywise from minor quotients and are then verified by exact
 reconstruction, so a transcription error in the formulas cannot survive.
+A long-word cell is cut finer by the gcd ladders of the bottom row and of
+the corner minors; `grid_walk` sums a character over a cell at any rank by
+walking its full u_L x u_R coordinate grid.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import BadRank, InternalInconsistency, NotInBigCell, NotUnimodular
-from .exactnum import phase
+from .errors import BadRank, BudgetExceeded, InternalInconsistency, NotInBigCell, NotUnimodular
+from .exactnum import PhaseSum, phase
 from .matrixcore import Matrix, det, diagonal, identity, mat_prod, minor
 from .weyl import long_word_matrix
 
@@ -35,6 +41,24 @@ def corner_minors(a: Matrix) -> list:
     """M_{(n-k+1..n),(1..k)} for k = 1..n-1."""
     n = a.n
     return [minor(a, range(n - k + 1, n + 1), range(1, k + 1)) for k in range(1, n)]
+
+
+def gcd_ladders(a: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix gcds of the bottom row a[n, 1..k] and of the corner (n-1)-minors
+    on columns 1..n-1 that leave out rows 1, 2, ..., k, for k = 1..n-1.
+
+    For an integral matrix of determinant 1 both ladders end on the same value.
+    """
+    n = a.n
+    cols = range(1, n)
+    g = h = 0
+    row, minors = [], []
+    for k in range(1, n):
+        g = math.gcd(g, a[n, k])
+        h = math.gcd(h, minor(a, [i for i in range(1, n + 1) if i != k], cols))
+        row.append(g)
+        minors.append(h)
+    return tuple(row), tuple(minors)
 
 
 def t_from_minors(a: Matrix) -> tuple:
@@ -99,6 +123,45 @@ def psi(character: tuple[int, ...], u: Matrix) -> Fraction:
     for i in range(1, n):
         total += character[i - 1] * Fraction(u[i, i + 1])
     return phase(total)
+
+
+def unipotent(n: int, numerators: Sequence[int], moduli: Sequence[int]) -> Matrix:
+    """Upper unitriangular n x n matrix with numerator / modulus above the
+    diagonal, entries in the order (1,2), (1,3), ..., (1,n), (2,3), ..., (n-1,n)."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), num, mod in zip(positions, numerators, moduli):
+        rows[i][j] = Fraction(num, mod)
+    return Matrix(rows)
+
+
+def grid_walk(cell, m: Sequence[int], n: Sequence[int], budget: int | None) -> PhaseSum:
+    """Sum of psi(m, u_L) + psi(n, u_R) over the members of a long-word cell.
+
+    Walks every u_L x u_R pair whose coordinates are k / M, k in [0, M), with
+    M from cell.left_moduli() and cell.right_moduli(). The candidate
+    u_L w0 t u_R is a member when it is integral and its gcd ladders equal
+    cell.ladders(). The budget bounds the grid size, cell.enumeration_budget().
+    """
+    size = cell.enumeration_budget()
+    if budget is not None and size > budget:
+        raise BudgetExceeded(size, budget)
+    torus = cell.torus()
+    rank = torus.n
+    w0 = long_word_matrix(rank)
+    ml = cell.left_moduli()
+    mr = cell.right_moduli()
+    want = cell.ladders()
+    out = PhaseSum()
+    for nums_left in itertools.product(*map(range, ml)):
+        u_left = unipotent(rank, nums_left, ml)
+        left = mat_prod(u_left, w0, torus)
+        for nums_right in itertools.product(*map(range, mr)):
+            u_right = unipotent(rank, nums_right, mr)
+            a = mat_prod(left, u_right)
+            if a.is_integral() and gcd_ladders(a) == want:
+                out.add_term(psi(m, u_left) + psi(n, u_right), 1)
+    return out
 
 
 def elementary(n: int, i: int, j: int, k: int) -> Matrix:

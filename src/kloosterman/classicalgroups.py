@@ -68,6 +68,8 @@ def sp4_minor_relations(a: Matrix) -> dict[str, int]:
     For column pair (j, k) the sum M_{13,jk} + M_{24,jk} must equal the form
     value at (j, k): 1 on the pairs (1,3) and (2,4), 0 elsewhere.
     """
+    if a.n != 4:
+        raise SizeMismatch(f"Sp(4) relations need a 4x4 matrix, got {a.n}x{a.n}")
     out = {}
     for j, k in itertools.combinations((1, 2, 3, 4), 2):
         want = 1 if (j, k) in ((1, 3), (2, 4)) else 0

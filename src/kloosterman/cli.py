@@ -28,7 +28,7 @@ from .sl4fine import (
     fine_sum_closed_form,
     fine_sum_oracle,
 )
-from .sl5 import SL5FineCellLabel, sl5_fine_sum_oracle
+from .sl5 import DEFAULT_BUDGET as SL5_DEFAULT_BUDGET, SL5FineCellLabel, sl5_fine_sum_oracle
 from .verify import SUITES, run_suite
 
 CACHE_ENV = "KLOOSTERMAN_CACHE"
@@ -49,9 +49,12 @@ def _budget(text: str):
     if text.lower() == "none":
         return None
     try:
-        return int(text)
+        budget = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("budget must be an integer or 'none'")
+    if budget < 0:
+        raise argparse.ArgumentTypeError("budget must not be negative")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fine5.add_argument("--strict-paper-psi", action="store_true",
                          help="apply the third character component to both of the last"
                               " two superdiagonal entries")
-    p_fine5.add_argument("--budget", type=_budget, default=2_000_000)
+    p_fine5.add_argument("--budget", type=_budget, default=SL5_DEFAULT_BUDGET)
     add_common(p_fine5)
 
     p_groups = sub.add_parser("groups", help="classical-group membership reports")

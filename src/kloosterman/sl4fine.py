@@ -10,12 +10,12 @@ the oracle value is the reference and both values are reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .bruhat import corner_minors, gcd_ladders, unipotent
 from .classical import kloosterman
 from .errors import (
     BudgetExceeded,
@@ -81,10 +81,14 @@ class FineCellLabel:
         return (d4, d4 * d5, d4 * d5 * f, d2 * d5, d2 * d3 * d5 * f, d1 * d3 * f)
 
     def enumeration_budget(self) -> int:
-        out = 1
-        for m in self.left_moduli() + self.right_moduli():
-            out *= m
-        return out
+        """Points of the full u_L x u_R coordinate grid."""
+        return math.prod(self.left_moduli() + self.right_moduli())
+
+    def ladders(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """The gcd ladders (bruhat.gcd_ladders) of every member of the cell."""
+        c1, _, c3 = self.moduli
+        f = self.f
+        return (c1, self.d5 * f, f), (c3, self.d3 * f, f)
 
     def torus(self) -> Matrix:
         d1, d2, d3, d4, d5, f = self.as_tuple()
@@ -175,23 +179,19 @@ def cell_of(a: Matrix) -> FineCellLabel:
     """Recover the fine cell label of a big-cell matrix from gcd ladders."""
     if a.n != 4:
         raise NotInBigCell(f"expected a 4x4 matrix, got {a.n}x{a.n}")
-    m234 = minor(a, (2, 3, 4), (1, 2, 3))
-    m134 = minor(a, (1, 3, 4), (1, 2, 3))
-    m34 = minor(a, (3, 4), (1, 2))
-    if a[4, 1] == 0 or m34 == 0 or m234 == 0:
+    c1, c2, c3 = corner_minors(a)
+    if c1 == 0 or c2 == 0 or c3 == 0:
         raise NotInBigCell("a corner minor vanishes")
-    f = gcd_many([a[4, 1], a[4, 2], a[4, 3]])
-    d5f = gcd_many([a[4, 1], a[4, 2]])
-    d3f = gcd_many([m234, m134])
-    if d5f % f or m234 % d3f or a[4, 1] % d5f or d3f % f:
+    (_, d5f, f), (_, d3f, _) = gcd_ladders(a)
+    if d5f % f or c3 % d3f or c1 % d5f or d3f % f:
         raise NonIntegralRefinement("gcd ladder does not refine integrally")
     d5 = d5f // f
-    d4 = a[4, 1] // d5f
+    d4 = c1 // d5f
     d3 = d3f // f
-    d1 = m234 // d3f
-    if m34 % (d3 * d5 * f):
-        raise NonIntegralRefinement(f"corner minor {m34} is not divisible by {d3 * d5 * f}")
-    d2 = m34 // (d3 * d5 * f)
+    d1 = c3 // d3f
+    if c2 % (d3 * d5 * f):
+        raise NonIntegralRefinement(f"corner minor {c2} is not divisible by {d3 * d5 * f}")
+    d2 = c2 // (d3 * d5 * f)
     if min(d1, d2, d3, d4, d5, f) < 1:
         raise NegativeCellData(f"recovered data ({d1},{d2},{d3},{d4},{d5},{f}) is not positive")
     return FineCellLabel(d1, d2, d3, d4, d5, f)
@@ -213,12 +213,11 @@ def lemma_checks(a: Matrix) -> LemmaReport:
     """Bottom-row gcd equality and the corner-inverse congruence mod f."""
     if a.n != 4 or a[4, 1] == 0:
         raise NotInBigCell("need a 4x4 big-cell matrix")
-    f = gcd_many([a[4, 1], a[4, 2], a[4, 3]])
-    minors = [minor(a, (2, 3, 4), (1, 2, 3)), minor(a, (1, 3, 4), (1, 2, 3)),
-              minor(a, (1, 2, 4), (1, 2, 3))]
+    row, minors = gcd_ladders(a)
+    f = row[-1]
     m123 = minor(a, (1, 2, 3), (1, 2, 3))
     return LemmaReport(
-        gcd_equality=(f == gcd_many(minors)),
+        gcd_equality=(f == minors[-1]),
         inverse_mod_f=((a[4, 4] * m123 - 1) % f == 0),
         units_mod_f=(math.gcd(a[4, 4], f) == 1 and math.gcd(m123, f) == 1),
         f=f,
@@ -280,20 +279,8 @@ def congruence_system(cell: FineCellLabel, coords: Sequence[tuple[int, int]]) ->
 
 def representative_matrix(cell: FineCellLabel, pl: Sequence[int], pr: Sequence[int]):
     """Exact candidate A = u_L w0 t u_R for given coordinate numerators."""
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
-    u_left = Matrix([
-        [1, Fraction(pl[0], ml[0]), Fraction(pl[1], ml[1]), Fraction(pl[2], ml[2])],
-        [0, 1, Fraction(pl[3], ml[3]), Fraction(pl[4], ml[4])],
-        [0, 0, 1, Fraction(pl[5], ml[5])],
-        [0, 0, 0, 1],
-    ])
-    u_right = Matrix([
-        [1, Fraction(pr[0], mr[0]), Fraction(pr[1], mr[1]), Fraction(pr[2], mr[2])],
-        [0, 1, Fraction(pr[3], mr[3]), Fraction(pr[4], mr[4])],
-        [0, 0, 1, Fraction(pr[5], mr[5])],
-        [0, 0, 0, 1],
-    ])
+    u_left = unipotent(4, pl, cell.left_moduli())
+    u_right = unipotent(4, pr, cell.right_moduli())
     a = mat_prod(u_left, long_word_matrix(4), cell.torus(), u_right)
     return a, u_left, u_right
 
@@ -489,30 +476,6 @@ def fine_sum_oracle(cell: FineCellLabel, m: Sequence[int], n: Sequence[int],
     out = PhaseSum()
     for key, mult in dist.items():
         out.add_term(character_phase(cell, m, n, key), mult)
-    return KloostermanResult.from_exact(out, "oracle", _query("fine", cell.as_tuple(), m, n))
-
-
-def _fine_sum_oracle_reference(cell: FineCellLabel, m: Sequence[int], n: Sequence[int],
-                               budget: int | None = DEFAULT_BUDGET) -> KloostermanResult:
-    """Unblocked reference: walk the full coordinate grid, keep a candidate only
-    when its matrix is integral and cell_of returns the requested cell."""
-    _check_budget(cell.enumeration_budget(), budget)
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
-    out = PhaseSum()
-    for pl in itertools.product(*[range(v) for v in ml]):
-        for pr in itertools.product(*[range(v) for v in mr]):
-            a, _, _ = representative_matrix(cell, pl, pr)
-            if not a.is_integral():
-                continue
-            try:
-                recovered = cell_of(a)
-            except (NotInBigCell, NonIntegralRefinement, NegativeCellData):
-                continue
-            if recovered != cell:
-                continue
-            key = (pl[0], pl[3], pl[5], pr[0], pr[3], pr[5])
-            out.add_term(character_phase(cell, m, n, key), 1)
     return KloostermanResult.from_exact(out, "oracle", _query("fine", cell.as_tuple(), m, n))
 
 

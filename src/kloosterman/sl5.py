@@ -3,23 +3,24 @@
 Mirrors the SL4 layer one rank up and builds through the same block product,
 `sl4fine.build_from_gammas`. A fine cell carries nine d-parameters and
 f; canonical coordinates live at twenty superdiagonal positions. Only the
-enumeration oracle is provided at this rank, with a budget guard, since the
-coordinate grid grows as the product of all twenty moduli.
+enumeration oracle, `bruhat.grid_walk`, is provided at this rank, with a
+budget guard, since the coordinate grid grows as the product of all twenty
+moduli.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bruhat import decompose, psi
-from .errors import BudgetExceeded, InternalInconsistency, NegativeCellData
-from .exactnum import PhaseSum, gcd_many
-from .matrixcore import Matrix, diagonal, mat_prod, minor
+from .bruhat import decompose, grid_walk
+from .errors import InternalInconsistency, NegativeCellData
+from .matrixcore import Matrix, diagonal
 from .sl4fine import GammaFactor, KloostermanResult, build_from_gammas
-from .weyl import long_word_matrix
+
+DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,34 @@ class SL5FineCellLabel:
             Fraction(1, d1 * d3 * d6 * f),
         ])
 
-    def left_moduli(self) -> dict[tuple[int, int], int]:
+    def left_moduli(self) -> tuple[int, ...]:
+        """Denominators of u_L coordinates, ordered (12), (13), (14), (15),
+        (23), (24), (25), (34), (35), (45)."""
         d1, d2, d3, d4, d5, d6, d7, d8, d9, f = self.as_tuple()
         c1, c2, _, _ = self.moduli
-        return {(1, 2): d1, (1, 3): d1 * d2 * d3, (1, 4): c2, (1, 5): c1,
-                (2, 3): d2 * d3, (2, 4): c2, (2, 5): c1,
-                (3, 4): d4 * d5 * d6, (3, 5): c1, (4, 5): c1}
+        return (d1, d1 * d2 * d3, c2, c1, d2 * d3, c2, c1, d4 * d5 * d6, c1, c1)
 
-    def right_moduli(self) -> dict[tuple[int, int], int]:
+    def right_moduli(self) -> tuple[int, ...]:
+        """Denominators of u_R coordinates, same entry order as left_moduli."""
         d1, d2, d3, d4, d5, d6, d7, d8, d9, f = self.as_tuple()
         c1, c2, c3, _ = self.moduli
-        return {(1, 2): d7, (1, 3): d7 * d8, (1, 4): d7 * d8 * d9, (1, 5): c1,
-                (2, 3): d4 * d8, (2, 4): d4 * d5 * d8 * d9, (2, 5): c2,
-                (3, 4): d2 * d5 * d9, (3, 5): c3, (4, 5): d1 * d3 * d6 * f}
+        return (d7, d7 * d8, d7 * d8 * d9, c1, d4 * d8, d4 * d5 * d8 * d9, c2,
+                d2 * d5 * d9, c3, d1 * d3 * d6 * f)
 
     def enumeration_budget(self) -> int:
-        out = 1
-        for v in self.left_moduli().values():
-            out *= v
-        for v in self.right_moduli().values():
-            out *= v
-        return out
+        """Points of the full u_L x u_R coordinate grid."""
+        return math.prod(self.left_moduli() + self.right_moduli())
+
+    def ladders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The gcd ladders (bruhat.gcd_ladders) of every member of the cell.
+
+        With the corner minors they fix d1, d3, d4 d5, d2 d5, d6, d7, d8, d9
+        and f, but not d5 itself.
+        """
+        c1, _, _, c4 = self.moduli
+        f = self.f
+        return ((c1, self.d8 * self.d9 * f, self.d9 * f, f),
+                (c4, self.d3 * self.d6 * f, self.d6 * f, f))
 
 
 @dataclass(frozen=True)
@@ -122,18 +130,6 @@ class SL5AuxQuantities:
             v3=d4 * xi(7) * yi(8) + d7 * yi(4),
             v4=d6 * xi(9) * yi(10) + d9 * xi(5) * yi(6),
         )
-
-
-def sl5_gcd_lemma_holds(a: Matrix) -> bool:
-    """Bottom-row gcd equals the gcd of the four corner 4-minors."""
-    row = gcd_many([a[5, 1], a[5, 2], a[5, 3], a[5, 4]])
-    minors = gcd_many([
-        minor(a, (2, 3, 4, 5), (1, 2, 3, 4)),
-        minor(a, (1, 2, 3, 5), (1, 2, 3, 4)),
-        minor(a, (1, 2, 4, 5), (1, 2, 3, 4)),
-        minor(a, (1, 3, 4, 5), (1, 2, 3, 4)),
-    ])
-    return row == minors
 
 
 def sl5_display_factors(cell: SL5FineCellLabel, gammas: Sequence[GammaFactor]):
@@ -184,55 +180,11 @@ def _effective_characters(m: Sequence[int], n: Sequence[int], strict_paper_psi: 
 
 
 def sl5_fine_sum_oracle(cell: SL5FineCellLabel, m: Sequence[int], n: Sequence[int],
-                        budget: int | None = 2_000_000,
+                        budget: int | None = DEFAULT_BUDGET,
                         strict_paper_psi: bool = False) -> KloostermanResult:
-    """Enumerate the twenty-coordinate grid and sum phases of cell members.
-
-    Membership: the candidate u_L w0 t u_R is integral and all gcd ladders of
-    the bottom row and of the corner 4-minors take the cell's values. The
-    corner invariants themselves are fixed by t, so only the refinements are
-    tested.
-    """
-    size = cell.enumeration_budget()
-    if budget is not None and size > budget:
-        raise BudgetExceeded(size, budget)
-    d1, d2, d3, d4, d5, d6, d7, d8, d9, f = cell.as_tuple()
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
-    keys_left = sorted(ml)
-    keys_right = sorted(mr)
-    w0 = long_word_matrix(5)
-    tmat = cell.torus()
-    d4f = cell.big_d[3] * f
+    """Sum the phases of the cell's members over its twenty-coordinate grid
+    (bruhat.grid_walk)."""
     em, en = _effective_characters(m, n, strict_paper_psi)
-    out = PhaseSum()
-    for nums_left in itertools.product(*[range(ml[k]) for k in keys_left]):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(5)] for i in range(5)]
-        for k, v in zip(keys_left, nums_left):
-            rows[k[0] - 1][k[1] - 1] = Fraction(v, ml[k])
-        u_left = Matrix(rows)
-        left = mat_prod(u_left, w0, tmat)
-        for nums_right in itertools.product(*[range(mr[k]) for k in keys_right]):
-            rows = [[Fraction(1) if i == j else Fraction(0) for j in range(5)] for i in range(5)]
-            for k, v in zip(keys_right, nums_right):
-                rows[k[0] - 1][k[1] - 1] = Fraction(v, mr[k])
-            u_right = Matrix(rows)
-            a = mat_prod(left, u_right)
-            if not a.is_integral():
-                continue
-            if gcd_many([a[5, 1], a[5, 2]]) != d8 * d9 * f:
-                continue
-            if gcd_many([a[5, 1], a[5, 2], a[5, 3]]) != d9 * f:
-                continue
-            if gcd_many([a[5, 1], a[5, 2], a[5, 3], a[5, 4]]) != f:
-                continue
-            m1345 = minor(a, (1, 3, 4, 5), (1, 2, 3, 4))
-            if gcd_many([d4f, m1345]) != d3 * d6 * f:
-                continue
-            m1245 = minor(a, (1, 2, 4, 5), (1, 2, 3, 4))
-            if gcd_many([d4f, m1345, m1245]) != d6 * f:
-                continue
-            out.add_term(psi(em, u_left) + psi(en, u_right), 1)
     query = {"kind": "fine5", "cell": list(cell.as_tuple()), "m": list(m), "n": list(n),
              "strict_paper_psi": strict_paper_psi}
-    return KloostermanResult.from_exact(out, "oracle", query)
+    return KloostermanResult.from_exact(grid_walk(cell, em, en, budget), "oracle", query)

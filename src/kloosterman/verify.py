@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bruhat import decompose, random_big_cell_matrix
+from .bruhat import decompose, gcd_ladders, random_big_cell_matrix
 from .classical import kloosterman
 from .classicalgroups import (
     is_special_orthogonal,
@@ -42,7 +42,7 @@ from .sl4fine import (
     lemma_checks,
     longword_bound_holds,
 )
-from .sl5 import SL5FineCellLabel, sl5_gcd_lemma_holds
+from .sl5 import SL5FineCellLabel
 from .weyl import (
     long_word_matrix,
     long_word_permutation,
@@ -152,7 +152,8 @@ def longword_suite() -> SuiteReport:
 
 
 def bruhat_suite(seed: int, sl4_count: int = 1000, sl5_count: int = 200) -> SuiteReport:
-    """Exact reconstruction through decompose, plus both gcd identities.
+    """Exact reconstruction through decompose, plus the gcd identity: both
+    gcd ladders end on the same value.
 
     decompose verifies u_L w t u_R against its input internally, so a clean
     return is already a reconstruction proof.
@@ -160,26 +161,18 @@ def bruhat_suite(seed: int, sl4_count: int = 1000, sl5_count: int = 200) -> Suit
     rng = random.Random(seed)
     failures = 0
     checked = 0
-    for _ in range(sl4_count):
-        a = random_big_cell_matrix(4, rng)
-        checked += 1
-        try:
-            decompose(a)
-        except Exception:
-            failures += 1
-            continue
-        if not lemma_checks(a).gcd_equality:
-            failures += 1
-    for _ in range(sl5_count):
-        a = random_big_cell_matrix(5, rng)
-        checked += 1
-        try:
-            decompose(a)
-        except Exception:
-            failures += 1
-            continue
-        if not sl5_gcd_lemma_holds(a):
-            failures += 1
+    for rank, count in ((4, sl4_count), (5, sl5_count)):
+        for _ in range(count):
+            a = random_big_cell_matrix(rank, rng)
+            checked += 1
+            try:
+                decompose(a)
+            except Exception:
+                failures += 1
+                continue
+            row, minors = gcd_ladders(a)
+            if row[-1] != minors[-1]:
+                failures += 1
     return SuiteReport("bruhat", checked, failures,
                        {"sl4": sl4_count, "sl5": sl5_count, "seed": seed})
 
@@ -219,7 +212,8 @@ def builds_suite(seed: int, count: int = 500, bound: int = 3) -> SuiteReport:
             try:
                 a5 = build_from_gammas(cell5, gammas5)
                 sl5_display_factors(cell5, gammas5)
-                if not (a5.is_integral() and det(a5) == 1 and sl5_gcd_lemma_holds(a5)):
+                row, minors = gcd_ladders(a5)
+                if not (a5.is_integral() and det(a5) == 1 and row[-1] == minors[-1]):
                     failures += 1
             except Exception:
                 failures += 1

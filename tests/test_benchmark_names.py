@@ -63,6 +63,16 @@ def test_benchmark_imports_resolve():
     assert ("kloosterman.bruhat", "corner_minors") in checked
 
 
+def test_label_methods_resolve():
+    """spans.py and pin.py call enumeration_budget() on both cell label classes."""
+    for name in ("spans.py", "pin.py"):
+        assert ".enumeration_budget()" in (PERFBENCH / name).read_text(), name
+    from kloosterman.sl4fine import FineCellLabel
+    from kloosterman.sl5 import SL5FineCellLabel
+    assert FineCellLabel(1, 1, 1, 1, 1, 2).enumeration_budget() == 64
+    assert SL5FineCellLabel(1, 1, 1, 1, 1, 1, 1, 1, 1, 2).enumeration_budget() == 1024
+
+
 def test_traced_functions_resolve():
     pairs = _traced_pairs()
     assert len(pairs) >= 10

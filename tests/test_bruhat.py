@@ -7,12 +7,14 @@ from kloosterman.bruhat import (
     corner_minors,
     decompose,
     elementary,
+    gcd_ladders,
     psi,
     random_big_cell_matrix,
     t_from_minors,
 )
 from kloosterman.errors import BadRank, InternalInconsistency, NotInBigCell, NotUnimodular
-from kloosterman.matrixcore import Matrix, identity, mat_prod
+from kloosterman.exactnum import gcd_many
+from kloosterman.matrixcore import Matrix, identity, mat_prod, minor
 from kloosterman.weyl import long_word_matrix
 
 
@@ -41,6 +43,22 @@ def test_corner_minors_against_hand_values():
     upper = Matrix([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
     with pytest.raises(NotInBigCell):
         t_from_minors(upper)
+
+
+def test_gcd_ladders_are_prefix_gcds():
+    a = Matrix([[1, 0, 0], [2, 1, 0], [-4, 6, 1]])
+    assert gcd_ladders(a) == ((4, 2), (16, 2))
+    rng = random.Random(12)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            a = random_big_cell_matrix(n, rng)
+            row, minors = gcd_ladders(a)
+            skips = [minor(a, [i for i in range(1, n + 1) if i != k], range(1, n))
+                     for k in range(1, n)]
+            for k in range(1, n):
+                assert row[k - 1] == gcd_many([a[n, j] for j in range(1, k + 1)])
+                assert minors[k - 1] == gcd_many(skips[:k])
+            assert row[-1] == minors[-1]
 
 
 def test_corner_minors_unchanged_by_unipotent_factors():

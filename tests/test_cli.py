@@ -60,6 +60,11 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sl4", "fine", "--cell", "1,1,1", "-m", "0,0,0", "-n", "0,0,0"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sl4", "fine", "--cell", "1,1,1,1,1,1", "-m", "0,0,0", "-n", "0,0,0",
+              "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "budget must not be negative" in capsys.readouterr().err
 
 
 def test_sl4_fine_both_trivial(capsys):
@@ -152,8 +157,12 @@ def test_decompose_rejects_non_cell_matrix(capsys, tmp_path):
     ("decompose", '{"n": 2, "entries": [[1, [1, 0]], [0, 1]]}', "bad-matrix-file"),
     ("decompose", '{"n": 1, "entries": [[1]]}', "bad-rank"),
     ("so4", '{"n": 2, "entries": [[1, 0], [0, 1]]}', "size-mismatch"),
+    ("sp4", '{"n": 2, "entries": [[1, 0], [0, 1]]}', "size-mismatch"),
+    ("sp4", json.dumps({"n": 6, "entries": [[1 if i == j else 5 if (i, j) == (0, 1) else 0
+                                             for j in range(6)] for i in range(6)]}),
+     "size-mismatch"),
 ], ids=["missing", "invalid-json", "no-n", "no-entries", "non-numeric", "zero-denominator",
-        "decompose-1x1", "so4-2x2"])
+        "decompose-1x1", "so4-2x2", "sp4-2x2", "sp4-6x6"])
 def test_bad_matrix_input_exit_codes(capsys, tmp_path, command, text, code):
     path = tmp_path / "matrix.json"
     if text is not None:

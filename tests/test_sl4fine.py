@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kloosterman.bruhat import decompose
+from kloosterman.bruhat import decompose, gcd_ladders, grid_walk
 from kloosterman.errors import (
     BudgetExceeded,
     CellMismatch,
@@ -22,7 +22,6 @@ from kloosterman.sl4fine import (
     DEFAULT_BUDGET,
     FineCellLabel,
     GammaFactor,
-    _fine_sum_oracle_reference,
     _scan,
     build_from_gammas,
     cell_of,
@@ -91,6 +90,7 @@ def test_seeded_builds_round_trip():
         assert a.is_integral()
         assert det(a) == 1
         assert cell_of(a) == cell
+        assert gcd_ladders(a) == cell.ladders()
         assert lemma_checks(a).all_pass
         assert congruence_system(cell, gamma_coordinates(gammas)).satisfied
         u_left, torus, u_right = display_factors(cell, gammas)
@@ -143,12 +143,16 @@ def test_congruences_match_integrality():
 
 
 def test_fast_oracle_matches_reference():
-    for tup in SINGLE_TWO_CELLS:
-        cell = FineCellLabel(*tup)
+    """The solved scan against the full-grid walk on every cell in {1,2}^6
+    whose u_L x u_R grid has at most 1,024 points."""
+    cells = [FineCellLabel(*t) for t in itertools.product((1, 2), repeat=6)]
+    cells = [cell for cell in cells if cell.enumeration_budget() <= 1024]
+    assert len(cells) == 11
+    assert set(SINGLE_TWO_CELLS) <= {cell.as_tuple() for cell in cells}
+    for cell in cells:
         for m, n in [((0, 0, 1), (1, 0, 1)), ((1, 1, 1), (1, 1, 1))]:
             fast = fine_sum_oracle(cell, m, n)
-            slow = _fine_sum_oracle_reference(cell, m, n)
-            assert fast.exact == slow.exact
+            assert fast.exact == grid_walk(cell, m, n, DEFAULT_BUDGET)
 
 
 def _blocked_representatives(cell: FineCellLabel):

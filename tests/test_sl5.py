@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kloosterman.bruhat import corner_minors, decompose
+from kloosterman.bruhat import corner_minors, decompose, gcd_ladders
 from kloosterman.errors import BudgetExceeded, CellMismatch, NegativeCellData
 from kloosterman.exactnum import PhaseSum
 from kloosterman.matrixcore import det
@@ -11,7 +11,6 @@ from kloosterman.sl5 import (
     SL5FineCellLabel,
     sl5_display_factors,
     sl5_fine_sum_oracle,
-    sl5_gcd_lemma_holds,
 )
 from kloosterman.verify import random_gamma_factor
 
@@ -32,12 +31,14 @@ def test_cell_label_arithmetic():
     assert cell.big_d == (d7 * d8 * d9, d4 * d5 * d6 * d8 * d9, d2 * d3 * d5 * d6 * d9, d1 * d3 * d6)
     assert cell.moduli == tuple(D * f for D in cell.big_d)
     assert det(cell.torus()) == 1
+    c1, c2, c3, c4 = cell.moduli
+    assert cell.left_moduli() == (d1, d1 * d2 * d3, c2, c1, d2 * d3, c2, c1, d4 * d5 * d6, c1, c1)
+    assert cell.right_moduli() == (d7, d7 * d8, d7 * d8 * d9, c1, d4 * d8, d4 * d5 * d8 * d9, c2,
+                                   d2 * d5 * d9, c3, c4)
     budget = 1
-    for v in list(cell.left_moduli().values()) + list(cell.right_moduli().values()):
+    for v in cell.left_moduli() + cell.right_moduli():
         budget *= v
     assert cell.enumeration_budget() == budget
-    assert set(cell.left_moduli()) == {(i, j) for i in range(1, 5) for j in range(i + 1, 6)}
-    assert set(cell.right_moduli()) == set(cell.left_moduli())
     with pytest.raises(NegativeCellData):
         SL5FineCellLabel(1, 1, 1, 0, 1, 1, 1, 1, 1, 1)
 
@@ -51,7 +52,7 @@ def test_seeded_builds_round_trip():
         assert a.is_integral()
         assert det(a) == 1
         assert corner_minors(a) == list(cell.moduli)
-        assert sl5_gcd_lemma_holds(a)
+        assert gcd_ladders(a) == cell.ladders()
         u_left, torus, u_right = sl5_display_factors(cell, gammas)
         d = decompose(a)
         assert u_left == d.u_L
