@@ -1,14 +1,15 @@
 """Classical Kloosterman sums S(m, n; c) and the Weil bound check.
 
 S(m,n;c) = sum over a in (Z/c)* with d = a^{-1} of e((m a + n d)/c), kept
-exactly as a PhaseSum. Direct O(c) enumeration; m, n may be negative.
+exactly as a PhaseSum. Direct O(c) enumeration counting the numerators
+(m a + n d) mod c; m, n may be negative.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonPositive
 from .exactnum import PhaseSum, divisor_tau, mod_inverse, phase_sum_eval
@@ -27,16 +28,10 @@ class ClassicalQuery:
 
 def kloosterman(m: int, n: int, c: int) -> PhaseSum:
     ClassicalQuery(m, n, c)
-    out = PhaseSum()
-    if c == 1:
-        out.add_term(Fraction(0), 1)
-        return out
-    for a in range(1, c):
-        if math.gcd(a, c) != 1:
-            continue
-        d = mod_inverse(a, c)
-        out.add_term(Fraction(m * a + n * d, c), 1)
-    return out
+    # a = 0 is the one unit mod 1, with inverse 0.
+    counts = Counter((m * a + n * mod_inverse(a, c)) % c
+                     for a in range(c) if math.gcd(a, c) == 1)
+    return PhaseSum.from_residues(counts, c)
 
 
 @dataclass(frozen=True)

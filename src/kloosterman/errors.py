@@ -82,10 +82,6 @@ class BudgetExceeded(KloostermanError):
         self.limit = limit
 
 
-class NonIntegralArgument(KloostermanError):
-    code = "non-integral-argument"
-
-
 class OddSize(KloostermanError):
     code = "odd-size"
 

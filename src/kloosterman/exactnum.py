@@ -2,6 +2,7 @@
 
 A finite Z-linear combination of e(q) = exp(2*pi*i*q) with q rational is kept
 exactly as a multiset of phases in [0, 1) with nonzero integer multiplicities.
+Hot loops count integer numerators over one modulus (PhaseSum.from_residues).
 Numeric evaluation happens once, at the end, in a deterministic order.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import EmptyInput, NonPositive, NotInvertible
@@ -119,6 +121,17 @@ class PhaseSum:
     def single(cls, q, mult: int = 1) -> "PhaseSum":
         return cls({phase(q): mult})
 
+    @classmethod
+    def from_residues(cls, counts: dict[int, int], modulus: int) -> "PhaseSum":
+        """Sum of mult * e(k / modulus) over counts; k may be any integer."""
+        reduced: dict[int, int] = {}
+        for k, mult in counts.items():
+            k %= modulus
+            reduced[k] = reduced.get(k, 0) + mult
+        out = cls()
+        out.terms = {Fraction(k, modulus): mult for k, mult in reduced.items() if mult}
+        return out
+
     def add_term(self, q, mult: int = 1) -> None:
         if mult == 0:
             return
@@ -175,7 +188,8 @@ class PhaseSum:
         return sum(abs(m) for m in self.terms.values())
 
     def sorted_terms(self) -> list[tuple[Fraction, int]]:
-        return sorted(self.terms.items())
+        # Phases are distinct: sorting on them alone skips Fraction equality tests.
+        return sorted(self.terms.items(), key=itemgetter(0))
 
     def serialize(self) -> list[list[int]]:
         """[numerator, denominator, multiplicity] triples, phases ascending."""

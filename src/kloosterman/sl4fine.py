@@ -2,8 +2,9 @@
 
 A fine cell is labeled by the full tuple (d1..d5, f). Canonical double-coset
 representatives carry twelve unipotent coordinates k/M with k in [0, M); the
-enumeration oracle walks that grid in factored blocks and accumulates exact
-phases, while the closed-form evaluator composes classical Kloosterman sums.
+enumeration oracle solves that grid's congruences block by block and sums its
+character exactly, as integer numerators over the cell level, while the
+closed-form evaluator multiplies two sums of classical Kloosterman sums.
 The two evaluators are compared by the verification harness; on disagreement
 the oracle value is the reference and both values are reported.
 """
@@ -21,12 +22,11 @@ from .errors import (
     BudgetExceeded,
     CellMismatch,
     NegativeCellData,
-    NonIntegralArgument,
     NonIntegralRefinement,
     NotInBigCell,
     NotUnimodular,
 )
-from .exactnum import (PhaseSum, divisor_tau, gcd_many, mod_inverse, phase, phase_sum_eval,
+from .exactnum import (PhaseSum, divisor_tau, gcd_many, mod_inverse, phase_sum_eval,
                        solve_linear_congruence)
 from .matrixcore import Matrix, diagonal, mat_prod, minor
 from .weyl import SimpleRoot, embed, long_word_matrix, staircase_word
@@ -452,18 +452,6 @@ def fine_cell_representatives(cell: FineCellLabel,
                     yield (p1, p2, p3, q1, q2, r), (s1, s2, s3, w1, w2, w3)
 
 
-def character_phase(cell: FineCellLabel, m: Sequence[int], n: Sequence[int],
-                    key: Sequence[int]) -> Fraction:
-    """Phase of one representative from its (p1, q1, r, s1, w1, w3) data."""
-    d1, d2, d3, d4, d5, f = cell.as_tuple()
-    p1, q1, r, s1, w1, w3 = key
-    total = (Fraction(m[0] * p1, d1) + Fraction(m[1] * q1, d2 * d3)
-             + Fraction(m[2] * r, d4 * d5 * f)
-             + Fraction(n[0] * s1, d4) + Fraction(n[1] * w1, d2 * d5)
-             + Fraction(n[2] * w3, d1 * d3 * f))
-    return phase(total)
-
-
 def _query(kind: str, cell_or_c, m, n) -> dict:
     return {"kind": kind, "cell" if kind.startswith("fine") else "c": list(cell_or_c),
             "m": list(m), "n": list(n)}
@@ -471,12 +459,19 @@ def _query(kind: str, cell_or_c, m, n) -> dict:
 
 def fine_sum_oracle(cell: FineCellLabel, m: Sequence[int], n: Sequence[int],
                     budget: int | None = DEFAULT_BUDGET) -> KloostermanResult:
-    """Character sum over the cell's double-coset representatives."""
-    dist = fine_cell_distribution(cell, budget)
-    out = PhaseSum()
-    for key, mult in dist.items():
-        out.add_term(character_phase(cell, m, n, key), mult)
-    return KloostermanResult.from_exact(out, "oracle", _query("fine", cell.as_tuple(), m, n))
+    """Character sum over the cell's double-coset representatives; the character,
+    linear in each key, is summed as integer numerators mod N = cell.level,
+    which all six of its denominators divide."""
+    d1, d2, d3, d4, d5, f = cell.as_tuple()
+    N = cell.level
+    a1, a2, a3 = m[0] * (N // d1), m[1] * (N // (d2 * d3)), m[2] * (N // (d4 * d5 * f))
+    b1, b2, b3 = n[0] * (N // d4), n[1] * (N // (d2 * d5)), n[2] * (N // (d1 * d3 * f))
+    counts: dict[int, int] = {}
+    for (p1, q1, r, s1, w1, w3), mult in fine_cell_distribution(cell, budget).items():
+        k = (a1 * p1 + a2 * q1 + a3 * r + b1 * s1 + b2 * w1 + b3 * w3) % N
+        counts[k] = counts.get(k, 0) + mult
+    return KloostermanResult.from_exact(PhaseSum.from_residues(counts, N), "oracle",
+                                        _query("fine", cell.as_tuple(), m, n))
 
 
 def closed_form_applicable(cell: FineCellLabel, m: Sequence[int], n: Sequence[int]) -> bool:
@@ -487,26 +482,20 @@ def closed_form_applicable(cell: FineCellLabel, m: Sequence[int], n: Sequence[in
 
 
 def fine_sum_closed_form(cell: FineCellLabel, m: Sequence[int], n: Sequence[int]) -> KloostermanResult:
-    """Prefactor times a double sum of products of two classical sums."""
+    """Prefactor times (sum over x3 of S(m1, .; d1)) (sum over y5 of S(n1, .; d4)),
+    the double sum of products of two classical sums, factored exactly."""
     query = _query("fine", cell.as_tuple(), m, n)
     if not closed_form_applicable(cell, m, n):
         return KloostermanResult.from_exact(PhaseSum(), "closed_form", query)
     d1, d2, d3, d4, d5, f = cell.as_tuple()
     prefactor = d1 ** 3 * d2 ** 2 * d3 ** 2 * d4 ** 2 * d5 ** 4 * f ** 4
-    total = PhaseSum()
-    for x3 in range(d3):
-        num_left = m[1] * d1 * f * x3 + n[2] * d2 * d5
-        if num_left % (d3 * f):
-            raise NonIntegralArgument(
-                f"left argument {num_left} is not divisible by {d3 * f} at x3={x3}")
-        left = kloosterman(m[0], num_left // (d3 * f), d1)
-        for y5 in range(d5):
-            num_right = n[1] * d4 * f * y5 + m[2] * d2 * d3
-            if num_right % (d5 * f):
-                raise NonIntegralArgument(
-                    f"right argument {num_right} is not divisible by {d5 * f} at y5={y5}")
-            total = total + left * kloosterman(n[0], num_right // (d5 * f), d4)
-    return KloostermanResult.from_exact(total * prefactor, "closed_form", query)
+    # Both divisions are exact when applicable: d3 | m[1] d1 (as d2 d3 | m[1] d1)
+    # and d3 f | n[2] on the left, d5 | n[1] d4 and d5 f | m[2] on the right.
+    left = sum((kloosterman(m[0], (m[1] * d1 * f * x3 + n[2] * d2 * d5) // (d3 * f), d1)
+                for x3 in range(d3)), PhaseSum())
+    right = sum((kloosterman(n[0], (n[1] * d4 * f * y5 + m[2] * d2 * d3) // (d5 * f), d4)
+                 for y5 in range(d5)), PhaseSum())
+    return KloostermanResult.from_exact(left * right * prefactor, "closed_form", query)
 
 
 def cells_for_moduli(c: Sequence[int]) -> list[FineCellLabel]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,26 @@ def test_exact_phase_content():
         (Fraction(2, 5), 1),
         (Fraction(3, 5), 1),
     ]
+
+
+def test_matches_fraction_brute_force():
+    """One Fraction per unit, inverses found by search, for every c <= 60:
+    every m, n in [-c-1, c+1] up to c = 16, and beyond that the ends of that
+    range, the values around 0 and c // 2 (the full range took 86 s on a
+    2-core x86_64 VM)."""
+    for c in range(1, 61):
+        units = [(a, d) for a in range(c) for d in range(c) if (a * d - 1) % c == 0]
+        if c <= 16:
+            span = range(-c - 1, c + 2)
+        else:
+            span = (-c - 1, -c, 1 - c, -1, 0, 1, 2, c // 2, c - 1, c, c + 1)
+        for m in span:
+            for n in span:
+                want = Counter()
+                for a, d in units:
+                    q = Fraction(m * a + n * d, c)
+                    want[q - q.numerator // q.denominator] += 1
+                assert kloosterman(m, n, c).terms == dict(want)
 
 
 def test_zero_characters_give_phi():

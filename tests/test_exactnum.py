@@ -93,6 +93,22 @@ def test_phase_sum_basic_ops():
     assert (s + one).mass() == 4
 
 
+def test_phase_sum_from_residues():
+    # 1, 5 and -3 all reduce to 1 and cancel; a zero count is dropped.
+    s = PhaseSum.from_residues({1: 2, 5: 1, -3: -3, 2: 0, 6: 1, -1: 4}, 4)
+    assert s.terms == {Fraction(1, 2): 1, Fraction(3, 4): 4}
+    assert PhaseSum.from_residues({0: 0}, 4).terms == {}
+    assert PhaseSum.from_residues({0: 2, 5: -1, -7: 3}, 1).terms == {Fraction(0): 4}
+    rng = random.Random(3)
+    for _ in range(50):
+        modulus = rng.randint(1, 12)
+        counts = {rng.randint(-40, 40): rng.randint(-3, 3) for _ in range(rng.randint(0, 15))}
+        want = PhaseSum()
+        for k, mult in counts.items():
+            want.add_term(Fraction(k, modulus), mult)
+        assert PhaseSum.from_residues(counts, modulus) == want
+
+
 def test_phase_sum_mul():
     a = PhaseSum.single(Fraction(1, 4))
     b = PhaseSum.single(Fraction(1, 4), 2)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kloosterman.bruhat import decompose, gcd_ladders, grid_walk
+from kloosterman.classical import kloosterman
 from kloosterman.errors import (
     BudgetExceeded,
     CellMismatch,
@@ -153,6 +154,68 @@ def test_fast_oracle_matches_reference():
         for m, n in [((0, 0, 1), (1, 0, 1)), ((1, 1, 1), (1, 1, 1))]:
             fast = fine_sum_oracle(cell, m, n)
             assert fast.exact == grid_walk(cell, m, n, DEFAULT_BUDGET)
+
+
+def _oracle_terms_reference(cell: FineCellLabel, m, n) -> dict:
+    """Reference for fine_sum_oracle's aggregation: one Fraction phase per key."""
+    d1, d2, d3, d4, d5, f = cell.as_tuple()
+    out = PhaseSum()
+    for (p1, q1, r, s1, w1, w3), mult in fine_cell_distribution(cell, budget=None).items():
+        out.add_term(Fraction(m[0] * p1, d1) + Fraction(m[1] * q1, d2 * d3)
+                     + Fraction(m[2] * r, d4 * d5 * f)
+                     + Fraction(n[0] * s1, d4) + Fraction(n[1] * w1, d2 * d5)
+                     + Fraction(n[2] * w3, d1 * d3 * f), mult)
+    return out.terms
+
+
+def test_oracle_matches_fraction_aggregation():
+    """Integer numerators mod the level against one Fraction per key, with
+    negative characters and characters beyond the cell's moduli."""
+    cells = list(itertools.product((1, 2), repeat=6))
+    cells += [(2, 2, 1, 3, 3, 2), (2, 1, 2, 2, 2, 4), (3, 3, 3, 3, 3, 3)]
+    rng = random.Random(53)
+    for tup in cells:
+        cell = FineCellLabel(*tup)
+        d1, d2, d3, d4, d5, f = tup
+        N = cell.level
+        chars = [((0, 0, 0), (0, 0, 0)), ((1, 1, 1), (1, 1, 1)), ((-1, 2, -3), (4, -5, 6)),
+                 ((d1 + 1, -d2 * d3 - 1, 2 * d4 * d5 * f + 1),
+                  (-d4 - 2, d2 * d5 + 1, -d1 * d3 * f - 3))]
+        chars += [(tuple(rng.randint(-3 * N, 3 * N) for _ in range(3)),
+                   tuple(rng.randint(-3 * N, 3 * N) for _ in range(3))) for _ in range(2)]
+        for m, n in chars:
+            assert fine_sum_oracle(cell, m, n, budget=None).exact.terms == \
+                _oracle_terms_reference(cell, m, n)
+
+
+def _closed_form_reference(cell: FineCellLabel, m, n) -> PhaseSum:
+    """The closed form's double sum unfactored: one product per (x3, y5)."""
+    d1, d2, d3, d4, d5, f = cell.as_tuple()
+    total = PhaseSum()
+    for x3 in range(d3):
+        num_left = m[1] * d1 * f * x3 + n[2] * d2 * d5
+        assert num_left % (d3 * f) == 0
+        left = kloosterman(m[0], num_left // (d3 * f), d1)
+        for y5 in range(d5):
+            num_right = n[1] * d4 * f * y5 + m[2] * d2 * d3
+            assert num_right % (d5 * f) == 0
+            total = total + left * kloosterman(n[0], num_right // (d5 * f), d4)
+    return total * (d1 ** 3 * d2 ** 2 * d3 ** 2 * d4 ** 2 * d5 ** 4 * f ** 4)
+
+
+def test_closed_form_matches_double_sum():
+    """Every in-scope row of the criterion 9 grid, {1,2}^6 x {0,1,2}^3 x {0,1,2}^3."""
+    rows = 0
+    for tup in itertools.product((1, 2), repeat=6):
+        cell = FineCellLabel(*tup)
+        for m in itertools.product((0, 1, 2), repeat=3):
+            for n in itertools.product((0, 1, 2), repeat=3):
+                if not closed_form_applicable(cell, m, n):
+                    continue
+                rows += 1
+                closed = fine_sum_closed_form(cell, m, n)
+                assert closed.exact.terms == _closed_form_reference(cell, m, n).terms
+    assert rows == 8748
 
 
 def _blocked_representatives(cell: FineCellLabel):
