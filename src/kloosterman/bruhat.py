@@ -4,8 +4,10 @@ The torus part is read off the lower-left corner minors; the unipotent
 factors come entrywise from minor quotients and are then verified by exact
 reconstruction, so a transcription error in the formulas cannot survive.
 A long-word cell is cut finer by the gcd ladders of the bottom row and of
-the corner minors; `grid_walk` sums a character over a cell at any rank by
-walking its full u_L x u_R coordinate grid.
+the corner minors; `long_word_members` lists a cell's members at any rank
+row by row, solving each row's integrality congruences instead of walking
+the full u_L x u_R coordinate grid, and `long_word_sum` sums a character
+over them.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BadRank, BudgetExceeded, InternalInconsistency, NotInBigCell, NotUnimodular
-from .exactnum import PhaseSum, phase
+from .exactnum import PhaseSum, phase, solve_linear_congruence
 from .matrixcore import Matrix, det, diagonal, identity, mat_prod, minor
 from .weyl import long_word_matrix
 
@@ -135,33 +138,133 @@ def unipotent(n: int, numerators: Sequence[int], moduli: Sequence[int]) -> Matri
     return Matrix(rows)
 
 
-def grid_walk(cell, m: Sequence[int], n: Sequence[int], budget: int | None) -> PhaseSum:
-    """Sum of psi(m, u_L) + psi(n, u_R) over the members of a long-word cell.
+def _solve_triangular(acc: list[int], unknowns: list, scale: int) -> list:
+    """Solutions of acc + sum of u_k coeff_k = 0 mod scale in every column,
+    0 <= u_k < bound_k, for unknowns (lead_k, coeff_k, bound_k) with strictly
+    increasing leads and coeff_k zero before column lead_k.
 
-    Walks every u_L x u_R pair whose coordinates are k / M, k in [0, M), with
-    M from cell.left_moduli() and cell.right_moduli(). The candidate
-    u_L w0 t u_R is a member when it is integral and its gcd ladders equal
-    cell.ladders(). The budget bounds the grid size, cell.enumeration_budget().
+    Unknown k is the last unknown in the columns from lead_k up to the next
+    lead, so those columns are solved for it as one arithmetic progression
+    and nothing is left to test once the last unknown is chosen. Returns
+    (values, (acc + sum u_k coeff_k) / scale) pairs.
+    """
+    n = len(acc)
+    if any(v % scale for v in acc[:unknowns[0][0]]):
+        return []
+    ends = [lead for lead, _, _ in unknowns[1:]] + [n]
+    out = []
+
+    def walk(k, acc, values):
+        if k == len(unknowns):
+            out.append((values, [v // scale for v in acc]))
+            return
+        lead, coeff, bound = unknowns[k]
+        x0, step = 0, 1
+        for col in range(lead, ends[k]):
+            sol = solve_linear_congruence(coeff[col] * step, -acc[col] - coeff[col] * x0, scale)
+            if sol is None:
+                return
+            # x0 + step u solves this column for u = sol[0] mod sol[1]; x0 stays below step.
+            x0, step = x0 + step * sol[0], step * sol[1]
+        for x in range(x0, bound, step):
+            walk(k + 1, [a + x * c for a, c in zip(acc, coeff)], values + (x,))
+
+    walk(0, acc, ())
+    return out
+
+
+Member = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def long_word_members(cell, budget: int | None) -> Iterator[Member]:
+    """Members of a long-word cell as (u_L numerators, u_R numerators), in the
+    entry order of cell.left_moduli() and cell.right_moduli().
+
+    A member is a point k / M, k in [0, M), of the cell's u_L x u_R grid whose
+    matrix a = u_L w0 t u_R is integral with gcd ladders equal to cell.ladders().
+    With B = w0 t u_R, row i of a is B[i] + sum over j > i of u_L[i, j] B[j],
+    and B[n + 1 - r] is t_r times row r of u_R, up to sign. So rows are fixed
+    bottom up: once the rows below are fixed, row n + 1 - r of a, scaled to
+    integers, is linear in the same row of u_L and in row r of u_R, and each
+    of those coordinates is the last unknown in a run of columns, which solve
+    it as an arithmetic progression (_solve_triangular). Row n must also match
+    the bottom-row ladder. Only the minor ladder couples rows; it is tested on
+    the product of the rows' choices.
+    The budget bounds the grid size, cell.enumeration_budget(), and is
+    checked before the first member is asked for.
     """
     size = cell.enumeration_budget()
     if budget is not None and size > budget:
         raise BudgetExceeded(size, budget)
+    return _row_factored_members(cell)
+
+
+def _row_factored_members(cell) -> Iterator[Member]:
     torus = cell.torus()
-    rank = torus.n
-    w0 = long_word_matrix(rank)
-    ml = cell.left_moduli()
-    mr = cell.right_moduli()
+    n = torus.n
+    w0 = long_word_matrix(n)
     want = cell.ladders()
-    out = PhaseSum()
-    for nums_left in itertools.product(*map(range, ml)):
-        u_left = unipotent(rank, nums_left, ml)
-        left = mat_prod(u_left, w0, torus)
-        for nums_right in itertools.product(*map(range, mr)):
-            u_right = unipotent(rank, nums_right, mr)
-            a = mat_prod(left, u_right)
-            if a.is_integral() and gcd_ladders(a) == want:
-                out.add_term(psi(m, u_left) + psi(n, u_right), 1)
-    return out
+    starts = [sum(n - 1 - r for r in range(i)) for i in range(n)]
+    left = [cell.left_moduli()[starts[i]:starts[i] + n - 1 - i] for i in range(n)]
+    right = [cell.right_moduli()[starts[i]:starts[i] + n - 1 - i] for i in range(n)]
+    # Row n - 1 - r of B (0-based) over the integer scale b_scale[r]: b_lead[r]
+    # in column r and b_coeff[r][k - r - 1] * u_R numerator (r, k) in column k > r.
+    b_lead, b_coeff, b_scale = [], [], []
+    for r in range(n):
+        t = Fraction(torus[r + 1, r + 1]) * w0[n - r, r + 1]
+        lcm = math.lcm(*right[r])
+        b_lead.append(t.numerator * lcm)
+        b_coeff.append([t.numerator * (lcm // mod) for mod in right[r]])
+        b_scale.append(t.denominator * lcm)
+
+    def fix_rows(r, b, ys, choices):
+        """Solve row i = n - 1 - r of a (0-based) with row r of u_R; b holds
+        the integer rows of B below row i, choices the rows of a below it."""
+        i = n - 1 - r
+        scale = math.lcm(b_scale[r], *(mod * b[j][1] for j, mod in enumerate(left[i], i + 1)))
+        own = scale // b_scale[r]
+        acc = [0] * n
+        acc[r] = b_lead[r] * own
+        unknowns = [(n - 1 - j, [v * (scale // (mod * b[j][1])) for v in b[j][0]], mod)
+                    for j, mod in reversed(list(enumerate(left[i], i + 1)))]
+        for k, (c, mod) in enumerate(zip(b_coeff[r], right[r]), r + 1):
+            unknowns.append((k, [0] * k + [c * own] + [0] * (n - 1 - k), mod))
+        groups = {}
+        for values, row in _solve_triangular(acc, unknowns, scale):
+            if r == 0 and tuple(itertools.accumulate(map(abs, row[:-1]), math.gcd)) != want[0]:
+                continue
+            groups.setdefault(values[r:], []).append((values[r - 1::-1] if r else (), row))
+        for y, rows in groups.items():
+            if r == n - 1:
+                for combo in itertools.product(rows, *choices):
+                    if gcd_ladders(Matrix([row for _, row in combo])) == want:
+                        yield sum((xs for xs, _ in combo), ()), ys
+                continue
+            b[i] = ([0] * r + [b_lead[r]] + [c * v for c, v in zip(b_coeff[r], y)], b_scale[r])
+            yield from fix_rows(r + 1, b, ys + y, [rows] + choices)
+
+    yield from fix_rows(0, [None] * n, (), [])
+
+
+def long_word_sum(cell, m: Sequence[int], n: Sequence[int], budget: int | None) -> PhaseSum:
+    """Sum of psi(m, u_L) + psi(n, u_R) over the members of a long-word cell
+    (long_word_members), counted as integer numerators over the lcm of the
+    superdiagonal moduli."""
+    members = long_word_members(cell, budget)
+    rank = cell.torus().n
+    if len(m) != rank - 1 or len(n) != rank - 1:
+        raise InternalInconsistency(f"character lengths {len(m)}, {len(n)} for rank {rank}")
+    diagonal_slots = [sum(rank - 1 - r for r in range(i)) for i in range(rank - 1)]
+    ml = [cell.left_moduli()[k] for k in diagonal_slots]
+    mr = [cell.right_moduli()[k] for k in diagonal_slots]
+    modulus = math.lcm(*ml, *mr)
+    left_weights = [(k, c * (modulus // mod)) for k, c, mod in zip(diagonal_slots, m, ml)]
+    right_weights = [(k, c * (modulus // mod)) for k, c, mod in zip(diagonal_slots, n, mr)]
+    counts = Counter()
+    for left, right in members:
+        counts[sum(w * left[k] for k, w in left_weights)
+               + sum(w * right[k] for k, w in right_weights)] += 1
+    return PhaseSum.from_residues(counts, modulus)
 
 
 def elementary(n: int, i: int, j: int, k: int) -> Matrix:

@@ -3,9 +3,10 @@
 Mirrors the SL4 layer one rank up and builds through the same block product,
 `sl4fine.build_from_gammas`. A fine cell carries nine d-parameters and
 f; canonical coordinates live at twenty superdiagonal positions. Only the
-enumeration oracle, `bruhat.grid_walk`, is provided at this rank, with a
-budget guard, since the coordinate grid grows as the product of all twenty
-moduli.
+enumeration oracle is provided at this rank: `bruhat.long_word_sum` over the
+row-factored enumerator `bruhat.long_word_members`. Its budget guard bounds
+the size of the twenty-coordinate grid, the product of all twenty moduli,
+although the enumerator does not walk that grid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bruhat import decompose, grid_walk
+from .bruhat import decompose, long_word_sum
 from .errors import InternalInconsistency, NegativeCellData
 from .matrixcore import Matrix, diagonal
 from .sl4fine import GammaFactor, KloostermanResult, build_from_gammas
@@ -182,9 +183,9 @@ def _effective_characters(m: Sequence[int], n: Sequence[int], strict_paper_psi: 
 def sl5_fine_sum_oracle(cell: SL5FineCellLabel, m: Sequence[int], n: Sequence[int],
                         budget: int | None = DEFAULT_BUDGET,
                         strict_paper_psi: bool = False) -> KloostermanResult:
-    """Sum the phases of the cell's members over its twenty-coordinate grid
-    (bruhat.grid_walk)."""
+    """Sum the phases of the cell's members (bruhat.long_word_sum); the budget
+    bounds the twenty-coordinate grid size, cell.enumeration_budget()."""
     em, en = _effective_characters(m, n, strict_paper_psi)
     query = {"kind": "fine5", "cell": list(cell.as_tuple()), "m": list(m), "n": list(n),
              "strict_paper_psi": strict_paper_psi}
-    return KloostermanResult.from_exact(grid_walk(cell, em, en, budget), "oracle", query)
+    return KloostermanResult.from_exact(long_word_sum(cell, em, en, budget), "oracle", query)

@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bruhat import decompose, gcd_ladders, random_big_cell_matrix
 from .classical import kloosterman
 from .classicalgroups import (
@@ -106,6 +104,8 @@ def weil_suite(c_max: int = 500, char_bound: int = 20) -> SuiteReport:
     S = E1 E2 with E1[m, a] = e(m a / c) and E2[a, n] = e(n a* / c) over
     units a.
     """
+    import numpy as np
+
     chars = np.arange(-char_bound, char_bound + 1)
     gcd_mn = np.gcd.outer(np.abs(chars), np.abs(chars))
     checked = 0
@@ -229,6 +229,8 @@ def _row_scan_mismatches(cell: FineCellLabel) -> tuple[int, int]:
     all right coordinates, so the equivalence is checked row by row; every
     entry is scaled by level^2 to keep the arithmetic integral.
     """
+    import numpy as np
+
     d1, d2, d3, d4, d5, f = cell.as_tuple()
     level = cell.level
     level2 = level * level

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from kloosterman.bruhat import (
+    _solve_triangular,
     corner_minors,
     decompose,
     elementary,
@@ -117,3 +119,24 @@ def test_elementary():
     assert e[1, 3] == -2
     assert e[1, 1] == 1 and e[2, 2] == 1
     assert mat_prod(e, elementary(4, 1, 3, 2)) == identity(4)
+
+
+def test_solve_triangular_matches_brute_force():
+    """Seeded systems of up to three unknowns over up to five columns, some
+    with columns before the first lead, against every point of the box."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        leads = sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+        unknowns = [(lead, [0] * lead + [rng.randint(-12, 12) for _ in range(n - lead)],
+                     rng.randint(1, 7)) for lead in leads]
+        acc = [rng.randint(-30, 30) for _ in range(n)]
+        scale = rng.randint(1, 12)
+        got = _solve_triangular(acc, unknowns, scale)
+        want = []
+        for values in itertools.product(*(range(bound) for _, _, bound in unknowns)):
+            row = [a + sum(v * coeff[col] for v, (_, coeff, _) in zip(values, unknowns))
+                   for col, a in enumerate(acc)]
+            if all(v % scale == 0 for v in row):
+                want.append((values, [v // scale for v in row]))
+        assert sorted(got) == sorted(want)

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kloosterman
 from kloosterman.classicalgroups import SymplecticForm
 from kloosterman import __version__
 from kloosterman.cli import CACHE_ENV, _cache_key, main
@@ -289,3 +293,14 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is imported by the two verification scans that use it, not at
+    start-up."""
+    src = os.path.dirname(os.path.dirname(kloosterman.__file__))
+    code = "import sys, kloosterman.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from kloosterman.bruhat import decompose, gcd_ladders, grid_walk
+from grid_reference import grid_walk
+from kloosterman.bruhat import decompose, gcd_ladders, long_word_sum
 from kloosterman.classical import kloosterman
 from kloosterman.errors import (
     BudgetExceeded,
@@ -154,6 +155,15 @@ def test_fast_oracle_matches_reference():
         for m, n in [((0, 0, 1), (1, 0, 1)), ((1, 1, 1), (1, 1, 1))]:
             fast = fine_sum_oracle(cell, m, n)
             assert fast.exact == grid_walk(cell, m, n, DEFAULT_BUDGET)
+
+
+def test_long_word_sum_matches_solved_scan():
+    """The rank-generic row-factored enumerator against the solved scan on
+    every cell in {1,2}^6."""
+    for t in itertools.product((1, 2), repeat=6):
+        cell = FineCellLabel(*t)
+        for m, n in [((0, 0, 1), (1, 0, 1)), ((-1, 2, 5), (3, -4, 1))]:
+            assert long_word_sum(cell, m, n, None) == fine_sum_oracle(cell, m, n, budget=None).exact
 
 
 def _oracle_terms_reference(cell: FineCellLabel, m, n) -> dict:

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from kloosterman.bruhat import corner_minors, decompose, gcd_ladders
+from grid_reference import grid_members, grid_walk
+from kloosterman.bruhat import corner_minors, decompose, gcd_ladders, long_word_members
 from kloosterman.errors import BudgetExceeded, CellMismatch, NegativeCellData
 from kloosterman.exactnum import PhaseSum
 from kloosterman.matrixcore import det
 from kloosterman.sl4fine import build_from_gammas
 from kloosterman.sl5 import (
+    DEFAULT_BUDGET,
     SL5FineCellLabel,
     sl5_display_factors,
     sl5_fine_sum_oracle,
@@ -21,6 +24,13 @@ SMALL_CELLS = [
     (1, 1, 1, 1, 1, 1, 1, 2, 1, 1),
     (1, 2, 1, 1, 1, 3, 1, 1, 2, 1),
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 2),
+]
+
+# Three cells of the sl5-grid benchmark workload, 729 to 1,296 grid points.
+BENCHMARK_CELLS = [
+    (1, 1, 1, 1, 1, 3, 1, 1, 1, 1),
+    (1, 1, 1, 3, 1, 1, 1, 1, 1, 1),
+    (1, 2, 3, 1, 1, 1, 1, 1, 1, 1),
 ]
 
 
@@ -98,3 +108,29 @@ def test_oracle_budget_guard():
         sl5_fine_sum_oracle(cell, (0, 0, 0, 0), (0, 0, 0, 0))
     assert exc.value.budget == cell.enumeration_budget()
     assert exc.value.limit == 2_000_000
+
+
+def test_members_match_grid_walk():
+    """The row-factored enumerator lists exactly the full grid walk's members,
+    each once, on every cell in {1,2}^10 whose grid has at most 1,024 points."""
+    cells = [SL5FineCellLabel(*t) for t in itertools.product((1, 2), repeat=10)]
+    cells = [cell for cell in cells if cell.enumeration_budget() <= 1024]
+    assert len(cells) == 19
+    for cell in cells:
+        got = list(long_word_members(cell, None))
+        assert len(got) == len(set(got))
+        assert set(got) == {(left, right) for _, _, left, right in grid_members(cell)}
+
+
+def test_oracle_matches_grid_walk():
+    """Identical terms from the oracle and the full grid walk, under both
+    character conventions. SMALL_CELLS[4] is left out: its grid has
+    47,775,744 points, beyond the default budget and hours for the walk."""
+    cells = [t for t in SMALL_CELLS if SL5FineCellLabel(*t).enumeration_budget() <= DEFAULT_BUDGET]
+    assert len(cells) == 5
+    for t in cells + BENCHMARK_CELLS:
+        cell = SL5FineCellLabel(*t)
+        for m, n in [((1, 0, 2, 1), (0, 1, 1, 2)), ((-1, 3, -5, 7), (4, -2, 9, -11))]:
+            assert sl5_fine_sum_oracle(cell, m, n, None).exact.terms == grid_walk(cell, m, n, None).terms
+            strict = sl5_fine_sum_oracle(cell, m, n, None, strict_paper_psi=True).exact
+            assert strict.terms == grid_walk(cell, m[:3] + m[2:3], n[:3] + n[2:3], None).terms
